@@ -1,36 +1,60 @@
 """Command-line front end.
 
 Subcommands dispatch to the four engines and emit machine-readable JSON or
-CSV; `verify` runs the full invariant battery and exits nonzero on any
-failure.  Exit codes: 0 success, 1 engine or verification failure, 2 usage
-error.  Identical arguments always produce byte-identical output.
+CSV through one writer; `verify` runs the checks of `polylab.checks` and
+exits nonzero on any failure.  Exit codes: 0 success, 1 engine or
+verification failure, 2 usage error.  Identical arguments always produce
+byte-identical output.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
-from . import geometry, pathcount, simulator, stochastics
-from .constants import E, L, constant_identities
+from . import checks, geometry, pathcount, simulator, stochastics
+from .constants import E, L
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _cell(value) -> str:
+    """One CSV cell: 17-significant-digit floats, lower-case bools, empty for None/NaN."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _json_ready(obj):
+    """`obj` with every NaN replaced by None, so that it dumps to valid JSON."""
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    return obj
+
+
+def _write(args, payload: dict, header=None, rows=None) -> None:
+    """Write `payload` as JSON, or `rows` under `header` as CSV, to stdout or `--out`.
+
+    Without `header`, the CSV is the payload's keys over one row of its values.
+    """
+    if args.format == "json":
+        text = json.dumps(_json_ready(payload), indent=2)
     else:
-        with open(out_path, "w") as fh:
+        if header is None:
+            header, rows = payload.keys(), [payload.values()]
+        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    if args.out is None or args.out == "-":
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    else:
+        with open(args.out, "w") as fh:
             fh.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,17 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_seeds(seed: int, count: int) -> None:
+    """Seeds `seed` .. `seed + count - 1` key a 64-bit generator."""
+    if seed < 0 or seed + count > 1 << 64:
+        raise UsageError(f"--seed must satisfy 0 <= seed <= 2^64 - {count}, got {seed}")
+
+
 def _cmd_count(args) -> int:
     if args.d > args.n:
         raise UsageError(f"--d must not exceed --n (got d={args.d}, n={args.n})")
     if args.n < 1 or args.l < 0 or args.d < 0:
         raise UsageError("count requires n >= 1, l >= 0, d >= 0")
     value = pathcount.stanley_count(args.n, args.l, args.d)
-    if args.format == "json":
-        text = _json_text({"count": str(value)})
-    else:
-        text = "n,l,d,count\n" + f"{args.n},{args.l},{args.d},{value}\n"
-    _emit(text, args.out)
+    _write(args, {"count": str(value)}, ["n", "l", "d", "count"], [[args.n, args.l, args.d, value]])
     return 0
 
 
@@ -111,6 +137,8 @@ def _cmd_identity(args) -> int:
         raise UsageError(f"--d must satisfy 0 <= d <= n (got d={args.d}, n={args.n})")
     residual = pathcount.identity_residual(args.n, args.d, args.x, args.lmax)
     bound = pathcount.identity_remainder_bound(args.n, args.x, args.lmax)
+    # identity_residual's float rounding is of order 1e-13 relative to its target
+    target = math.sinh(args.x) ** args.d * math.cosh(args.x) ** (args.n - args.d)
     payload = {
         "n": args.n,
         "d": args.d,
@@ -118,104 +146,52 @@ def _cmd_identity(args) -> int:
         "l_max": args.lmax,
         "residual": residual,
         "remainder_bound": bound,
-        "within_tolerance": residual <= bound + 1e-10,
+        "within_tolerance": residual <= bound + 1e-13 * target,
     }
-    if args.format == "json":
-        text = _json_text(payload)
-    else:
-        text = "n,d,x,l_max,residual,remainder_bound,within_tolerance\n" + ",".join(
-            [
-                str(args.n),
-                str(args.d),
-                _fmt(args.x),
-                str(args.lmax),
-                _fmt(residual),
-                _fmt(bound),
-                str(payload["within_tolerance"]).lower(),
-            ]
-        ) + "\n"
-    _emit(text, args.out)
+    _write(args, payload)
     return 0
 
 
 def _cmd_geometry(args) -> int:
     if args.K < 1:
         raise UsageError(f"--K must be >= 1, got {args.K}")
+    if args.m is not None and 2 * args.m >= args.K:
+        raise UsageError(f"--m must satisfy 2m < K (got m={args.m}, K={args.K})")
     cg = geometry.solve_coarse_graining(args.K)
     full_product = geometry.evolution_product(cg, args.K)
-    profile = None
+    payload = {
+        "K": args.K,
+        "E": E,
+        "a": cg.a,
+        "abar": cg.abar[1:],
+        "d": cg.d,
+        "ef": cg.ef,
+        "eb": cg.eb,
+        "full_product": full_product,
+    }
+    rows = [[i + 1, cg.a[i], cg.abar[i + 1], cg.d[i], cg.ef[i], cg.eb[i]] for i in range(args.K)]
+    rows.append(["full_product", full_product, None, None, None, None])
     if args.m is not None:
-        if 2 * args.m >= args.K:
-            raise UsageError(f"--m must satisfy 2m < K (got m={args.m}, K={args.K})")
         profile = geometry.build_optimal_profile(args.K, args.m)
-    if args.format == "json":
-        payload = {
-            "K": args.K,
-            "E": E,
-            "a": list(cg.a),
-            "abar": list(cg.abar[1:]),
-            "d": list(cg.d),
-            "ef": list(cg.ef),
-            "eb": list(cg.eb),
-            "full_product": full_product,
-        }
-        if profile is not None:
-            payload["m"] = profile.m
-            payload["d_opt"] = list(profile.d_opt)
-            payload["L_opt"] = profile.L_opt
-            payload["L_minus_L_opt"] = L - profile.L_opt
-        text = _json_text(payload)
-    else:
-        lines = ["i,a_i,abar_i,d_i,ef_i,eb_i"]
-        for i in range(args.K):
-            lines.append(
-                ",".join(
-                    [
-                        str(i + 1),
-                        _fmt(cg.a[i]),
-                        _fmt(cg.abar[i + 1]),
-                        _fmt(cg.d[i]),
-                        _fmt(cg.ef[i]),
-                        _fmt(cg.eb[i]),
-                    ]
-                )
-            )
-        lines.append(f"full_product,{_fmt(full_product)},,,,")
-        if profile is not None:
-            lines.append(f"L_opt,{_fmt(profile.L_opt)},,,,")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        payload.update(m=profile.m, d_opt=profile.d_opt, L_opt=profile.L_opt, L_minus_L_opt=L - profile.L_opt)
+        rows.append(["L_opt", profile.L_opt, None, None, None, None])
+    _write(args, payload, ["i", "a_i", "abar_i", "d_i", "ef_i", "eb_i"], rows)
     return 0
 
 
 def _cmd_analyze(args) -> int:
     report = geometry.verify_scalar_claims(args.grid_step)
-    extra = {}
+    payload = {
+        "grid_step": report.grid_step,
+        "items": [dataclasses.asdict(it) for it in report.items],
+        "all_passed": report.all_passed,
+    }
+    rows = [[it.name, it.passed, f'"{it.detail}"'] for it in report.items]
     if args.lopt is not None:
-        n = int(round(1.0 / args.grid_step))
-        sup = max(
-            geometry.theta_hat(min(i * args.grid_step, 1.0), args.lopt) for i in range(n + 1)
-        )
-        extra = {"l_opt": args.lopt, "theta_hat_sup": sup}
-    if args.format == "json":
-        payload = {
-            "grid_step": report.grid_step,
-            "items": [
-                {"name": it.name, "passed": it.passed, "detail": it.detail}
-                for it in report.items
-            ],
-            "all_passed": report.all_passed,
-            **extra,
-        }
-        text = _json_text(payload)
-    else:
-        lines = ["name,passed,detail"]
-        for it in report.items:
-            lines.append(f"{it.name},{str(it.passed).lower()},\"{it.detail}\"")
-        if extra:
-            lines.append(f"theta_hat_sup_at_{extra['l_opt']},{_fmt(extra['theta_hat_sup'])},")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        sup = geometry.theta_hat_sup(args.grid_step, args.lopt)
+        payload.update(l_opt=args.lopt, theta_hat_sup=sup)
+        rows.append([f"theta_hat_sup_at_{args.lopt}", sup, None])
+    _write(args, payload, ["name", "passed", "detail"], rows)
     return 1 if not report.all_passed else 0
 
 
@@ -224,6 +200,9 @@ def _cmd_overlap(args) -> int:
         raise UsageError(f"--k must satisfy 0 <= k <= l (got k={args.k}, l={args.l})")
     if args.x <= 0:
         raise UsageError(f"--x must be positive, got {args.x}")
+    if args.mc_trials is not None and args.mc_trials < 10**4:
+        raise UsageError(f"--mc-trials must be >= 10000, got {args.mc_trials}")
+    _require_seeds(args.seed, 1)
     spec = stochastics.OverlapSpec(l=args.l, k=args.k, x=args.x)
     exact = stochastics.overlap_probability_exact(spec)
     payload = {
@@ -235,232 +214,40 @@ def _cmd_overlap(args) -> int:
     }
     if 1 <= args.k <= args.l - 1:
         leading = stochastics.overlap_probability_leading(spec)
-        payload["leading"] = leading
-        payload["exact_over_leading"] = exact / leading
+        payload.update(leading=leading, exact_over_leading=exact / leading)
     if args.mc_trials is not None:
         est = stochastics.overlap_probability_mc(spec, args.mc_trials, args.seed)
-        payload["mc_estimate"] = est.estimate
-        payload["mc_stderr"] = est.stderr
-        payload["mc_trials"] = args.mc_trials
-        payload["mc_seed"] = args.seed
-    if args.format == "json":
-        text = _json_text(payload)
-    else:
-        keys = list(payload.keys())
-        values = [
-            _fmt(payload[k]) if isinstance(payload[k], float) else str(payload[k]) for k in keys
-        ]
-        text = ",".join(keys) + "\n" + ",".join(values) + "\n"
-    _emit(text, args.out)
+        payload.update(
+            mc_estimate=est.estimate, mc_stderr=est.stderr, mc_trials=args.mc_trials, mc_seed=args.seed
+        )
+    _write(args, payload)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    if args.n < 1 or args.trials < 1:
-        raise UsageError("simulate requires n >= 1 and trials >= 1")
+    if not 1 <= args.n <= simulator.MAX_DIMENSION:
+        raise UsageError(f"--n must satisfy 1 <= n <= {simulator.MAX_DIMENSION}, got {args.n}")
+    if args.trials < 1 or args.parallelism < 1:
+        raise UsageError("simulate requires trials >= 1 and parallelism >= 1")
+    _require_seeds(args.seed, args.trials)
     records, summary = simulator.run_trials(args.n, args.trials, args.seed, args.parallelism)
-    if args.format == "json":
-        payload = {
-            "trials": [simulator.trial_record_json_dict(r) for r in records],
-            "aggregate": {
-                "n": summary.n,
-                "trials": summary.trials,
-                "base_seed": summary.base_seed,
-                "mean_m_n": summary.mean_m_n,
-                "std_m_n": summary.std_m_n,
-                "mean_length_ratio": summary.mean_length_ratio,
-                "std_length_ratio": summary.std_length_ratio,
-                "mean_first_half_fraction": summary.mean_first_half_fraction,
-                "mean_backstep_fraction": summary.mean_backstep_fraction,
-                "profile_bin_mean": [None if math.isnan(v) else v for v in summary.profile_bin_mean],
-                "profile_bin_se": [None if math.isnan(v) else v for v in summary.profile_bin_se],
-                "backstep_decile_mean": list(summary.backstep_decile_mean),
-                "backstep_decile_se": list(summary.backstep_decile_se),
-            },
-        }
-        text = _json_text(payload)
-    else:
-        text = simulator.trial_records_csv(records)
-    _emit(text, args.out)
+    trials = [simulator.trial_record_json_dict(r) for r in records]
+    payload = {"trials": trials, "aggregate": dataclasses.asdict(summary)}
+    _write(args, payload, trials[0].keys(), [t.values() for t in trials])
     return 0
-
-
-def _verification_checks(fast: bool):
-    """Yield (name, callable) pairs; each callable returns (passed, detail)."""
-
-    def check_constants():
-        worst = max(constant_identities().values())
-        return worst <= 1e-12, f"max identity deviation {worst:.2e}"
-
-    def check_stanley_oracle():
-        n_max = 3 if fast else 4
-        l_max = 6 if fast else 8
-        for n in range(1, n_max + 1):
-            for l in range(l_max + 1):
-                for d in range(n + 1):
-                    if pathcount.stanley_count(n, l, d) != pathcount.brute_force_walk_count(n, l, d):
-                        return False, f"mismatch at (n={n}, l={l}, d={d})"
-        return True, f"all cells equal up to n={n_max}, l={l_max}"
-
-    def check_identity_residuals():
-        worst = 0.0
-        n_list = (2, 4) if fast else (2, 4, 7, 10)
-        for n in n_list:
-            for d in (0, n // 2, n):
-                for x in (0.5, E, 1.5):
-                    l_max = 80
-                    r = pathcount.identity_residual(n, d, x, l_max)
-                    bound = pathcount.identity_remainder_bound(n, x, l_max)
-                    if r > bound + 1e-10:
-                        return False, f"residual {r:.2e} at (n={n}, d={d}, x={x})"
-                    worst = max(worst, r)
-        return True, f"max residual {worst:.2e}"
-
-    def check_m_bound():
-        n_max = 6 if fast else 10
-        for n in range(1, n_max + 1):
-            for l in range(0, 21, 4):
-                for d in range(0, n + 1, max(1, n // 3)):
-                    if l < d or (l - d) & 1:
-                        continue
-                    count = pathcount.stanley_count(n, l, d)
-                    for x in (0.25, 0.5, E, 1.0, 2.0):
-                        if count and math.log(count) > pathcount.log_m_bound(n, l, d, x) + 1e-12:
-                            return False, f"bound violated at (n={n}, l={l}, d={d}, x={x})"
-        return True, "count <= bound on the sampled grid"
-
-    def check_length_ratio_inverse():
-        worst = 0.0
-        steps = 20 if fast else 200
-        for i in range(steps + 1):
-            ratio = 1.0001 + (10.0 - 1.0001) * i / steps
-            x = pathcount.solve_length_ratio(ratio)
-            worst = max(worst, abs(x / math.tanh(x) - ratio))
-        return worst <= 1e-11, f"max |x/tanh(x) - ratio| = {worst:.2e}"
-
-    def check_coarse_graining():
-        ks = (1, 2, 4, 8, 16) if fast else tuple(range(1, 65))
-        for k in ks:
-            geometry.solve_coarse_graining(k)  # raises on any invariant breach
-        return True, f"all invariants hold for K in {ks[:5]}..{ks[-1]}"
-
-    def check_product_criterion():
-        ks = (4, 8) if fast else (2, 4, 8, 16, 32, 64)
-        for k in ks:
-            cg = geometry.solve_coarse_graining(k)
-            opt = geometry.f_function(cg, cg.d)
-            if abs(opt - 1.0) > 1e-9:
-                return False, f"f at optimum = {opt} for K={k}"
-            for j in range(k):
-                for delta in (0.01, -0.01):
-                    dvec = list(cg.d)
-                    dvec[j] += delta
-                    if not geometry.f_function(cg, dvec) < 1.0:
-                        return False, f"perturbation not below 1 at K={k}, slab {j + 1}"
-            for j in range(2, k):
-                if abs(geometry.optimal_d_closed_form(j, k, cg) - cg.d[j - 1]) > 1e-10:
-                    return False, f"closed form mismatch at K={k}, slab {j}"
-        return True, f"optimum at 1, perturbations below 1 for K in {ks}"
-
-    def check_partial_products():
-        ks = (4, 8) if fast else tuple(range(1, 65))
-        worst = 0.0
-        for k in ks:
-            cg = geometry.solve_coarse_graining(k)
-            for i in range(1, k + 1):
-                dev = abs(geometry.evolution_product(cg, i) - geometry.evolution_closed_form(cg, i))
-                worst = max(worst, dev)
-        return worst <= 1e-9, f"max partial-product deviation {worst:.2e}"
-
-    def check_step_bounds():
-        ks = (8, 16) if fast else tuple(range(1, 65))
-        for k in ks:
-            cg = geometry.solve_coarse_graining(k)
-            for i in range(k):
-                if cg.eb[i] > 1.0 / (2 * k) + 1e-15 or not cg.ef[i] - 2 * cg.eb[i] > 0:
-                    return False, f"step bound violated at K={k}, slab {i + 1}"
-        return True, "eb <= 1/(2K) and ef - 2eb > 0 throughout"
-
-    def check_scalar_claims():
-        report = geometry.verify_scalar_claims(1e-3 if fast else 1e-4)
-        failed = [it.name for it in report.items if not it.passed]
-        return report.all_passed, "all five items pass" if report.all_passed else f"failed: {failed}"
-
-    def check_overlap_kernels():
-        for gamma_i in range(0, 101):
-            if stochastics.overlap_g(gamma_i / 100.0) > 1.0 + 1e-12:
-                return False, f"g above 1 at gamma={gamma_i / 100.0}"
-        for l in range(1, 51, 7 if fast else 1):
-            for x in (0.1, 0.5, 1.0, E, 2.0, 5.0):
-                k = stochastics.erlang_tail_ratio(l, x)
-                if not 0.0 <= k <= math.exp(x) * x / (l + 1):
-                    return False, f"tail ratio bound violated at (l={l}, x={x})"
-        for l, x in ((3, 1.0), (5, 0.7)):
-            spec = stochastics.OverlapSpec(l=l, k=l, x=x)
-            if abs(stochastics.overlap_probability_exact(spec) - stochastics.erlang_cdf(l, x)) > 1e-10:
-                return False, f"k=l closed form mismatch at (l={l}, x={x})"
-        return True, "g bounded, tail ratio bounded, closed forms consistent"
-
-    def check_overlap_mc():
-        cells = ((3, 1, 1.0), (4, 2, 1.0)) if fast else ((3, 1, 1.0), (4, 2, 1.0), (6, 3, 1.5), (5, 0, 1.0))
-        trials = 10**5
-        for l, k, x in cells:
-            spec = stochastics.OverlapSpec(l=l, k=k, x=x)
-            exact = stochastics.overlap_probability_exact(spec)
-            est = stochastics.overlap_probability_mc(spec, trials, seed=97)
-            if abs(est.estimate - exact) > 4.0 * est.stderr + 16.0 / trials:
-                return False, f"MC off at (l={l}, k={k}, x={x}): {est.estimate} vs {exact}"
-        return True, f"MC within 4 se on {len(cells)} cells"
-
-    def check_simulator_oracle():
-        n_max = 3 if fast else 4
-        seeds = range(5) if fast else range(25)
-        for n in range(1, n_max + 1):
-            for seed in seeds:
-                inst = simulator.HypercubeInstance(n=n, seed=seed)
-                m_fast, path = simulator.ground_state(inst)
-                m_brute, _ = simulator.brute_force_ground_state(inst)
-                if m_fast != m_brute:
-                    return False, f"oracle mismatch at (n={n}, seed={seed})"
-                if not path.is_loopless() or path.vertices[-1] != inst.target:
-                    return False, f"invalid path at (n={n}, seed={seed})"
-        return True, f"exact equality up to n={n_max} over {len(list(seeds))} seeds"
-
-    def check_directed_overlap():
-        n_max = 6 if fast else 7
-        for n in range(2, n_max + 1):
-            for k, f, coarse, ok_coarse, ok_refined in simulator.directed_overlap_envelopes(n):
-                if not (ok_coarse and ok_refined):
-                    return False, f"envelope violated at (n={n}, k={k}, F={f})"
-        return True, f"envelopes hold up to n={n_max}"
-
-    yield "constants", check_constants
-    yield "stanley_oracle", check_stanley_oracle
-    yield "identity_residuals", check_identity_residuals
-    yield "m_bound", check_m_bound
-    yield "length_ratio_inverse", check_length_ratio_inverse
-    yield "coarse_graining", check_coarse_graining
-    yield "product_criterion", check_product_criterion
-    yield "partial_products", check_partial_products
-    yield "step_bounds", check_step_bounds
-    yield "scalar_claims", check_scalar_claims
-    yield "overlap_kernels", check_overlap_kernels
-    yield "overlap_mc", check_overlap_mc
-    yield "simulator_oracle", check_simulator_oracle
-    yield "directed_overlap", check_directed_overlap
 
 
 def _cmd_verify(args) -> int:
     all_passed = True
-    width = max(len(name) for name, _ in _verification_checks(args.fast))
-    for name, check in _verification_checks(args.fast):
+    width = max(len(check.name) for check in checks.CHECKS)
+    for check in checks.CHECKS:
         try:
-            passed, detail = check()
+            passed, detail = check.run(*(check.fast if args.fast else check.full))
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"error: {exc}"
         all_passed = all_passed and passed
         status = "PASS" if passed else "FAIL"
-        print(f"{name:<{width}}  {status}  {detail}")
+        print(f"{check.name:<{width}}  {status}  {detail}")
     print(f"overall: {'PASS' if all_passed else 'FAIL'}")
     return 0 if all_passed else 1
 

@@ -254,6 +254,12 @@ def theta_hat(x: float, l_opt: float) -> float:
     return 4.0 ** (1.0 - x) / (2.0 - x) ** (2.0 - x) * math.tanh(t) ** exponent * math.cosh(t) ** (1.0 / l_opt)
 
 
+def theta_hat_sup(grid_step: float, l_opt: float) -> float:
+    """Maximum of theta_hat(., l_opt) over the grid 0, grid_step, ..., 1."""
+    n = int(round(1.0 / grid_step))
+    return max(theta_hat(min(i * grid_step, 1.0), l_opt) for i in range(n + 1))
+
+
 def g1(x: float) -> float:
     """First scalar branch: 4^{1-x}/(2-x)^{2-x} sinh(E(1-x))^{0.8-x} cosh(E(1-x))^x.
 
@@ -346,12 +352,9 @@ def verify_scalar_claims(grid_step: float = 1e-4) -> ScalarClaimsReport:
     """
     if grid_step > 1e-3:
         raise ValueError(f"grid_step must be <= 1e-3, got {grid_step}")
-    n = int(round(1.0 / grid_step))
     items = []
 
-    sup = 0.0
-    for l_opt in (1.24, 1.25):
-        sup = max(sup, max(theta_hat(min(i * grid_step, 1.0), l_opt) for i in range(n + 1)))
+    sup = max(theta_hat_sup(grid_step, l_opt) for l_opt in (1.24, 1.25))
     items.append(
         ScalarClaimItem("theta_hat_sup", sup <= 1.0 + 1e-9, f"grid sup = {sup:.12f}")
     )

@@ -486,26 +486,6 @@ def trial_record_json_dict(record: TrialRecord) -> dict:
     }
 
 
-def trial_records_csv(records: list[TrialRecord]) -> str:
-    """Flat CSV with '.' decimals and 17-significant-digit floats."""
-    header = ["n", "seed", "trial", "m_n", "length", "backsteps", "e_first_half"]
-    header += [f"bin_{i:02d}" for i in range(PROFILE_BINS)]
-    lines = [",".join(header)]
-    for r in records:
-        row = [
-            str(r.n),
-            str(r.seed),
-            str(r.trial),
-            format(r.m_n, ".17g"),
-            str(r.length),
-            str(r.backstep_count),
-            format(r.first_half_energy, ".17g"),
-        ]
-        row += ["" if math.isnan(v) else format(v, ".17g") for v in r.profile_bins]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def directed_overlap_envelopes(n: int) -> list[tuple[int, int, int, bool, bool]]:
     """(k, F(n,k), coarse bound, coarse ok, refined ok for k <= n^(1/4)) rows.
 

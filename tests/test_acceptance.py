@@ -2,163 +2,81 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Criteria mix exact
 identity checks, oracle equivalence and seeded Monte Carlo trend bounds;
-every tolerance is pinned here, nothing is calibrated at runtime.
+nothing is calibrated at runtime.  Criteria 1-9 and 12 run the checks of
+`polylab.checks` that `polylab verify` also runs, at the sizes, seeds and
+runtime budgets pinned here; criteria 10 and 11 are checked only here.
 """
 
 import math
 import time
 
-from polylab import geometry, pathcount, simulator, stochastics
-from polylab.constants import E, L, constant_identities
+from polylab import checks, pathcount, simulator
+from polylab.constants import E, L
 
 
-def _report(number: int, name: str, passed: bool, elapsed: float, budget: float):
+def _report(number: int, name: str, passed: bool, elapsed: float, budget: float, detail: str = ""):
     status = "PASS" if passed else "FAIL"
     print(f"\nACCEPTANCE {number:02d} {name}: {status} ({elapsed:.1f}s / budget {budget:.0f}s)")
-    assert passed, f"criterion {number} ({name}) failed"
+    assert passed, f"criterion {number} ({name}) failed: {detail}"
     assert elapsed < budget, f"criterion {number} exceeded runtime budget"
 
 
 def test_criterion_01_stanley_oracle_equivalence():
     start = time.monotonic()
-    ok = True
-    for n in range(1, 5):
-        for l in range(9):
-            for d in range(n + 1):
-                if pathcount.stanley_count(n, l, d) != pathcount.brute_force_walk_count(n, l, d):
-                    ok = False
-    _report(1, "stanley_oracle_equivalence", ok, time.monotonic() - start, 60)
+    ok, detail = checks.stanley_oracle(n_max=4, l_max=8)
+    _report(1, "stanley_oracle_equivalence", ok, time.monotonic() - start, 60, detail)
 
 
 def test_criterion_02_stanley_identity():
     start = time.monotonic()
-    ok = True
-    for n in range(1, 11):
-        for d in (0, n // 2, n):
-            for x in (0.5, E, 1.5):
-                residual = pathcount.identity_residual(n, d, x, 80)
-                bound = pathcount.identity_remainder_bound(n, x, 80)
-                if residual > bound + 1e-10:
-                    ok = False
-    _report(2, "stanley_identity", ok, time.monotonic() - start, 10)
+    ok, detail = checks.identity_residuals(range(1, 11))
+    _report(2, "stanley_identity", ok, time.monotonic() - start, 10, detail)
 
 
 def test_criterion_03_constant_bookkeeping():
     start = time.monotonic()
-    ok = max(constant_identities().values()) <= 1e-12
-    _report(3, "constant_bookkeeping", ok, time.monotonic() - start, 5)
+    ok, detail = checks.constants()
+    _report(3, "constant_bookkeeping", ok, time.monotonic() - start, 5, detail)
 
 
 def test_criterion_04_product_criterion_machine_precision():
     start = time.monotonic()
-    ok = True
-    for K in (2, 4, 8, 16, 32, 64):
-        cg = geometry.solve_coarse_graining(K)
-        optimum = geometry.f_function(cg, cg.d)
-        if not 1.0 - 1e-9 <= optimum <= 1.0 + 1e-9:
-            ok = False
-        for j in range(K):
-            for delta in (0.01, -0.01):
-                dvec = list(cg.d)
-                dvec[j] += delta
-                if not geometry.f_function(cg, dvec) < 1.0:
-                    ok = False
-        for j in range(2, K):
-            if abs(geometry.optimal_d_closed_form(j, K, cg) - cg.d[j - 1]) > 1e-10:
-                ok = False
-    _report(4, "product_criterion", ok, time.monotonic() - start, 30)
+    ok, detail = checks.product_criterion((2, 4, 8, 16, 32, 64))
+    _report(4, "product_criterion", ok, time.monotonic() - start, 30, detail)
 
 
 def test_criterion_05_partial_products():
     start = time.monotonic()
-    ok = True
-    for K in range(1, 65):
-        cg = geometry.solve_coarse_graining(K)
-        for i in range(1, K + 1):
-            if abs(geometry.evolution_product(cg, i) - geometry.evolution_closed_form(cg, i)) > 1e-9:
-                ok = False
-        if abs(geometry.evolution_product(cg, K) - 1.0) > 1e-9:
-            ok = False
-    _report(5, "partial_products", ok, time.monotonic() - start, 60)
+    ok, detail = checks.partial_products(range(1, 65))
+    _report(5, "partial_products", ok, time.monotonic() - start, 60, detail)
 
 
 def test_criterion_06_effective_step_inequalities():
     start = time.monotonic()
-    ok = True
-    for K in range(1, 65):
-        cg = geometry.solve_coarse_graining(K)
-        for i in range(K):
-            if cg.eb[i] > 1.0 / (2 * K) + 1e-15:
-                ok = False
-            if not cg.ef[i] - 2.0 * cg.eb[i] > 0.0:
-                ok = False
-    _report(6, "effective_step_inequalities", ok, time.monotonic() - start, 10)
+    ok, detail = checks.step_bounds(range(1, 65))
+    _report(6, "effective_step_inequalities", ok, time.monotonic() - start, 10, detail)
 
 
 def test_criterion_07_scalar_envelope_claims():
     start = time.monotonic()
-    report = geometry.verify_scalar_claims(1e-4)
-    ok = report.all_passed and abs(geometry.g2(1.0) - 1.0) == 0.0
-    for l_opt in (1.24, 1.25):
-        sup = max(geometry.theta_hat(min(i * 1e-4, 1.0), l_opt) for i in range(10001))
-        if sup > 1.0 + 1e-9:
-            ok = False
-    _report(7, "scalar_envelope_claims", ok, time.monotonic() - start, 20)
+    ok, detail = checks.scalar_claims(1e-4, l_opts=(1.24, 1.25))
+    _report(7, "scalar_envelope_claims", ok, time.monotonic() - start, 20, detail)
 
 
 def test_criterion_08_overlap_kernel():
     start = time.monotonic()
-    trials = 10**6
-    ok = True
-    for i in range(100001):
-        if stochastics.overlap_g(i / 100000) > 1.0 + 1e-12:
-            ok = False
-    for l in range(1, 51):
-        for x in (0.1, 0.5, 1.0, E, 2.0, 5.0):
-            ratio = stochastics.erlang_tail_ratio(l, x)
-            if not 0.0 <= ratio <= math.exp(x) * x / (l + 1):
-                ok = False
-    cell = 0
-    for l in range(1, 9):
-        for k in range(l + 1):
-            for x in (0.5, 1.0, 2.0):
-                spec = stochastics.OverlapSpec(l=l, k=k, x=x)
-                exact = stochastics.overlap_probability_exact(spec)
-                est = stochastics.overlap_probability_mc(spec, trials, seed=1000 + cell)
-                # binomial stderr vanishes on zero-count cells; the 16/N term
-                # covers deviations of Poisson-scale counts up to 16 there
-                if abs(est.estimate - exact) > 4.0 * est.stderr + 16.0 / trials:
-                    ok = False
-                cell += 1
-    _report(8, "overlap_kernel", ok, time.monotonic() - start, 300)
+    grid = [(l, k, x) for l in range(1, 9) for k in range(l + 1) for x in (0.5, 1.0, 2.0)]
+    cells = [(l, k, x, 1000 + cell) for cell, (l, k, x) in enumerate(grid)]
+    ok, detail = checks.overlap_kernels(g_steps=100000, l_step=1)
+    if ok:
+        ok, detail = checks.overlap_mc(cells, 10**6)
+    _report(8, "overlap_kernel", ok, time.monotonic() - start, 300, detail)
 
 
 def test_criterion_09_simulator_oracle():
     start = time.monotonic()
-    ok = True
-    for n in range(1, 5):
-        for seed in range(25):
-            inst = simulator.HypercubeInstance(n=n, seed=seed)
-            m_fast, path = simulator.ground_state(inst)
-            m_brute, _ = simulator.brute_force_ground_state(inst)
-            if m_fast != m_brute:
-                ok = False
-            if path.vertices[0] != 0 or path.vertices[-1] != inst.target:
-                ok = False
-            if not path.is_loopless():
-                ok = False
-            if path.length < n or (path.length - n) % 2:
-                ok = False
-            if not math.isclose(
-                path.energy,
-                sum(
-                    simulator.edge_weight(inst, a, (a ^ b).bit_length() - 1)
-                    for a, b in zip(path.vertices, path.vertices[1:])
-                ),
-                rel_tol=1e-9,
-            ):
-                ok = False
-    _report(9, "simulator_oracle", ok, time.monotonic() - start, 30)
+    ok, detail = checks.simulator_oracle(n_max=4, seeds=25)
+    _report(9, "simulator_oracle", ok, time.monotonic() - start, 30, detail)
 
 
 def test_criterion_10_convergence_trends():
@@ -204,12 +122,5 @@ def test_criterion_11_length_concentration():
 
 def test_criterion_12_directed_overlap_envelopes():
     start = time.monotonic()
-    ok = True
-    for n in range(2, 8):
-        table = simulator.directed_overlap_table(n)
-        for k, f in enumerate(table):
-            if f > math.factorial(n - k) * math.comb(n, k):
-                ok = False
-            if k <= n**0.25 and f > 2 * math.factorial(n - k) * (k + 1):
-                ok = False
-    _report(12, "directed_overlap_envelopes", ok, time.monotonic() - start, 60)
+    ok, detail = checks.directed_overlap(n_max=7)
+    _report(12, "directed_overlap_envelopes", ok, time.monotonic() - start, 60, detail)

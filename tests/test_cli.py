@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polylab import cli
+from polylab import cli, simulator
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +49,16 @@ class TestIdentity:
         payload = json.loads(out)
         assert payload["within_tolerance"] is True
         assert payload["residual"] < 1e-10
+
+    def test_tolerance_scales_with_target(self, capsys):
+        # the target is 2^16 here; a residual of a few 1e-10 is float rounding
+        code, out, _ = run_cli(
+            capsys, "identity", "--n", "64", "--d", "32", "--x", "0.881373587019543", "--lmax", "220"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["residual"] > 1e-10
+        assert payload["within_tolerance"] is True
 
 
 class TestGeometry:
@@ -139,6 +149,35 @@ class TestSimulate:
         lines = out_file.read_text().strip().split("\n")
         assert lines[0].split(",")[:7] == ["n", "seed", "trial", "m_n", "length", "backsteps", "e_first_half"]
         assert len(lines) == 3
+
+    def test_csv_round_trip_floats(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--n", "5", "--trials", "3", "--seed", "3", "--format", "csv")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0].startswith("n,seed,trial,m_n,length,backsteps,e_first_half,bin_00")
+        assert len(lines) == 4
+        m_back = float(lines[1].split(",")[3])
+        assert m_back == simulator.run_trial(5, 3, 0).m_n  # 17 significant digits round-trip
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["overlap", "--l", "3", "--k", "1", "--x", "1.0", "--seed", "-3"],
+        ["overlap", "--l", "3", "--k", "1", "--x", "1.0", "--seed", str(2**64)],
+        ["overlap", "--l", "3", "--k", "1", "--x", "1.0", "--mc-trials", "9999"],
+        ["simulate", "--n", "6", "--trials", "1", "--seed", "-1"],
+        ["simulate", "--n", "6", "--trials", "3", "--seed", str(2**64 - 2)],
+        ["simulate", "--n", "6", "--trials", "1", "--seed", "0", "--parallelism", "0"],
+        ["simulate", "--n", "0", "--trials", "1", "--seed", "0"],
+        ["simulate", "--n", str(simulator.MAX_DIMENSION + 1), "--trials", "1", "--seed", "0"],
+    ],
+)
+def test_usage_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestVerify:

@@ -252,15 +252,6 @@ class TestSerialization:
         }
         json.dumps(payload)  # must be valid JSON (None for empty bins)
 
-    def test_csv_round_trip_floats(self):
-        records, _ = simulator.run_trials(5, 3, base_seed=3)
-        text = simulator.trial_records_csv(records)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("n,seed,trial,m_n,length,backsteps,e_first_half,bin_00")
-        assert len(lines) == 4
-        m_back = float(lines[1].split(",")[3])
-        assert m_back == records[0].m_n  # 17 significant digits round-trip
-
 
 class TestDirectedOverlapCount:
     FROZEN = {
