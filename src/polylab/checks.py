@@ -156,26 +156,27 @@ def overlap_mc(cells: Sequence[tuple[int, int, float, int]], trials: int) -> tup
 
 
 def simulator_oracle(n_max: int, seeds: int) -> tuple[bool, str]:
-    """Dijkstra equals the exhaustive oracle; its path is a valid, loopless minimizer."""
+    """Both Dijkstra engines equal the exhaustive oracle; their paths are valid, loopless minimizers."""
     for n in range(1, n_max + 1):
         for seed in range(seeds):
             inst = simulator.HypercubeInstance(n=n, seed=seed)
-            m_fast, path = simulator.ground_state(inst)
-            if m_fast != simulator.brute_force_ground_state(inst)[0]:
-                return False, f"oracle mismatch at (n={n}, seed={seed})"
-            energy = sum(
-                simulator.edge_weight(inst, a, (a ^ b).bit_length() - 1)
-                for a, b in zip(path.vertices, path.vertices[1:])
-            )
-            if (
-                path.vertices[0] != 0
-                or path.vertices[-1] != inst.target
-                or not path.is_loopless()
-                or path.length < n
-                or (path.length - n) % 2
-                or not math.isclose(path.energy, energy, rel_tol=1e-9)
-            ):
-                return False, f"invalid path at (n={n}, seed={seed})"
+            m_brute = simulator.brute_force_ground_state(inst)[0]
+            for m_fast, path in (simulator.ground_state(inst), simulator._bidirectional_search(inst)):
+                if m_fast != m_brute:
+                    return False, f"oracle mismatch at (n={n}, seed={seed})"
+                energy = sum(
+                    simulator.edge_weight(inst, a, (a ^ b).bit_length() - 1)
+                    for a, b in zip(path.vertices, path.vertices[1:])
+                )
+                if (
+                    path.vertices[0] != 0
+                    or path.vertices[-1] != inst.target
+                    or not path.is_loopless()
+                    or path.length < n
+                    or (path.length - n) % 2
+                    or not math.isclose(path.energy, energy, rel_tol=1e-9)
+                ):
+                    return False, f"invalid path at (n={n}, seed={seed})"
     return True, f"exact equality up to n={n_max} over {seeds} seeds"
 
 

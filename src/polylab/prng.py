@@ -38,6 +38,29 @@ def exponential(seed: int, a: int, b: int) -> float:
     return -math.log(uniform01(seed, a, b))
 
 
+_B_TERMS = tuple(((b + 1) * _KEY_B) & _MASK64 for b in range(64))
+
+
+def vertex_exponentials(seed: int, vertex: int, n: int) -> list[float]:
+    """The n edge weights at `vertex`: entry d is exponential(seed, vertex & ~(1 << d), d).
+
+    Same arithmetic as `exponential`, inlined into one loop over the
+    dimensions; valid for 0 <= vertex < 2^64 and n <= 64.
+    """
+    seed &= _MASK64
+    log = math.log
+    out = []
+    for d in range(n):
+        z = seed ^ (((vertex & ~(1 << d)) * _KEY_A) & _MASK64) ^ _B_TERMS[d]
+        z ^= z >> 30
+        z = (z * _MIX_1) & _MASK64
+        z ^= z >> 27
+        z = (z * _MIX_2) & _MASK64
+        z ^= z >> 31
+        out.append(-log((z + 0.5) * 2.0**-64))
+    return out
+
+
 def mix64_array(seed: int, a: np.ndarray, b: int) -> np.ndarray:
     """Vectorized mix64 over a uint64 array of first keys (fixed second key)."""
     z = np.uint64(seed) ^ (a.astype(np.uint64) * np.uint64(_KEY_A))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polylab import simulator
 from polylab.constants import E, L
@@ -41,6 +42,13 @@ class TestEdgeWeight:
         for vertex in range(1 << 6):
             for dim in range(6):
                 assert table[vertex, dim] == simulator.edge_weight(inst, vertex, dim)
+
+    def test_vertex_exponentials_match_scalar(self):
+        for seed in (0, 77, 2**64 - 1):
+            inst = HypercubeInstance(n=26, seed=seed)
+            for vertex in (0, 0b101101, 2**26 - 1):
+                expected = [simulator.edge_weight(inst, vertex, d) for d in range(26)]
+                assert simulator.prng.vertex_exponentials(seed, vertex, 26) == expected
 
     def test_rejects_bad_dim(self):
         inst = HypercubeInstance(n=4, seed=0)
@@ -108,16 +116,58 @@ class TestGroundState:
             m_brute, path_brute = simulator.brute_force_ground_state(inst)
             assert m_fast == m_brute, (n, seed)
             assert path_fast.length == path_brute.length
+            m_bidi, path_bidi = simulator._bidirectional_search(inst)
+            assert m_bidi == m_brute, (n, seed)
+            assert path_bidi.vertices == path_brute.vertices, (n, seed)
 
-    def test_python_fallback_agrees(self, monkeypatch):
-        # shrink the cap below the CSR footprint but above the distance buffer
-        monkeypatch.setenv(simulator.MEM_CAP_ENV_VAR, "1")
-        inst = HypercubeInstance(n=9, seed=4)
-        m_small_cap, path_small_cap = simulator.ground_state(inst)
-        monkeypatch.delenv(simulator.MEM_CAP_ENV_VAR)
-        m_fast, path_fast = simulator.ground_state(inst)
-        assert m_small_cap == m_fast
-        assert path_small_cap.steps == path_fast.steps
+    @pytest.mark.parametrize("n", range(1, simulator.CSR_MAX_DIMENSION + 1))
+    def test_bidirectional_equals_csr(self, n):
+        for seed in range(12 if n <= 10 else 4):
+            inst = HypercubeInstance(n=n, seed=seed)
+            m_csr, path_csr = simulator._csr_search(inst)
+            m_bidi, path_bidi = simulator._bidirectional_search(inst)
+            assert m_bidi == m_csr, (n, seed)
+            assert path_bidi.vertices == path_csr.vertices, (n, seed)
+
+    # (m_n, steps) of the compiled CSR engine, which searched every n before
+    # the bidirectional search took over above CSR_MAX_DIMENSION
+    FROZEN_CSR = {
+        (15, 0): (1.0709965982336396, (8, 7, 13, 3, 6, 2, 15, 4, 14, 9, 5, -8, 11, 8, 12, 10, 1)),
+        (15, 1): (1.0295319902959377, (12, 4, 1, 14, 15, 5, 6, 2, 7, 9, 3, 10, 13, 11, -13, 8, 13)),
+        (15, 2): (1.1892406918273066, (11, 5, 13, 6, 8, 9, 12, 3, 14, 2, -5, -6, 4, 1, 5, 7, -13, 10, -3, 15, 3, 6, 13)),
+        (15, 3): (1.0661809683526937, (3, 11, 2, 8, 1, -11, 4, 9, 13, 12, 5, 15, -2, 10, 7, 14, 2, 11, 6)),
+        (16, 0): (0.8495038704450706, (8, 7, 15, 12, 1, 2, 3, 4, 13, 9, 14, 16, 5, 11, 10, 6)),
+        (16, 1): (1.0017355309158564, (12, 4, -12, 9, 13, 7, 5, 3, 14, 11, 10, 1, 16, 8, 6, 15, 2, 12)),
+        (16, 2): (0.9047001958489204, (11, 5, 13, 6, 10, 1, 2, 16, 14, 15, 8, 4, 7, 12, 3, 9)),
+        (16, 3): (0.9276857752261101, (3, 11, 2, 8, -2, 5, 12, 7, 15, 2, 1, 9, 14, 4, 13, -3, 16, 10, 6, 3)),
+        (18, 0): (0.9345234399358474, (8, 7, 15, 12, 1, 18, 2, 5, 10, 4, 9, 17, -5, 16, 3, 6, 13, 5, 14, 11)),
+        (18, 1): (0.9568007463810855, (12, 4, 1, 17, 18, 15, 13, 5, 9, 7, 16, 11, 14, 3, 8, 6, 2, 10)),
+        (18, 2): (1.0454045947757318, (11, 5, 13, 6, 10, 1, 2, 16, 14, 9, 12, 3, 15, 4, 18, 8, 17, 7)),
+        (20, 0): (0.8443707827046596, (8, 15, 16, 14, -16, 13, 10, 7, 4, 12, -14, 3, 20, 18, 1, 5, 14, -5, 9, 5, 6, 11, 17, 2, 16, 19)),
+        (20, 1): (0.9389721596667946, (12, 4, 18, -4, 7, 8, -7, 15, 4, 1, 2, 14, 13, 11, 9, 19, 6, 7, 17, 20, 16, 10, 3, 5)),
+        (21, 0): (0.9201817733936778, (13, 21, 14, 1, 9, 20, 3, 15, 8, 5, 4, 7, 17, 18, 2, 11, 6, 10, 19, 12, 16)),
+        (21, 1): (0.9498201584949094, (12, 4, 18, 20, 10, 7, 1, -4, 16, 17, -1, 14, 1, 9, 13, 8, 3, 11, -3, 2, -7, 21, 7, -2, 4, 2, 15, 3, 5, 19, 6)),
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(FROZEN_CSR))
+    def test_reproduces_frozen_csr_results(self, n, seed):
+        m, path = simulator.ground_state(HypercubeInstance(n=n, seed=seed))
+        assert (m, path.steps) == self.FROZEN_CSR[n, seed]
+
+    @given(n=st.integers(min_value=1, max_value=16), seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=60)
+    def test_bidirectional_path_properties(self, n, seed):
+        inst = HypercubeInstance(n=n, seed=seed)
+        m, path = simulator._bidirectional_search(inst)
+        assert path.vertices[0] == 0 and path.vertices[-1] == inst.target
+        assert path.is_loopless()
+        assert path.length >= n and (path.length - n) % 2 == 0
+        energy = 0.0
+        for a, b in zip(path.vertices, path.vertices[1:]):
+            assert bin(a ^ b).count("1") == 1
+            energy += simulator.edge_weight(inst, a, (a ^ b).bit_length() - 1)
+        assert m == path.energy == energy
+        assert m <= PolymerPath.from_steps(inst, range(1, n + 1)).energy
 
     def test_path_invariants(self):
         for seed in (0, 7, 42):
@@ -146,11 +196,6 @@ class TestGroundState:
         ]
         assert min(values) > 0.55
         assert min(values) == pytest.approx(0.8800098467873847, rel=1e-12)
-
-    def test_memory_cap_violation(self, monkeypatch):
-        monkeypatch.setenv(simulator.MEM_CAP_ENV_VAR, "1")
-        with pytest.raises(simulator.MemoryCapError):
-            simulator.ground_state(HypercubeInstance(n=18, seed=0))
 
 
 class TestBruteForceGroundState:
@@ -226,6 +271,18 @@ class TestRunTrials:
         # repr-level comparison: nan-valued empty bins defeat == on floats
         assert repr(serial_records) == repr(parallel_records)
         assert repr(serial_summary) == repr(parallel_summary)
+
+    @pytest.mark.parametrize("base_seed", (-1, 2**64 - 2))
+    def test_out_of_range_seeds_rejected_before_any_trial(self, monkeypatch, base_seed):
+        ran = []
+        monkeypatch.setattr(simulator, "run_trial", lambda *args: ran.append(args))
+        with pytest.raises(ValueError):
+            simulator.run_trials(4, 3, base_seed)
+        assert ran == []
+
+    def test_last_unsigned_seed_accepted(self):
+        records, _ = simulator.run_trials(4, 2, 2**64 - 2)
+        assert [r.seed for r in records] == [2**64 - 2, 2**64 - 1]
 
     def test_record_invariants(self):
         records, _ = simulator.run_trials(6, 12, base_seed=0)
