@@ -101,15 +101,6 @@ def partial_products(ks: Sequence[int]) -> tuple[bool, str]:
     return worst <= 1e-9, f"max partial-product deviation {worst:.2e}"
 
 
-def step_bounds(ks: Sequence[int]) -> tuple[bool, str]:
-    for k in ks:
-        cg = geometry.solve_coarse_graining(k)
-        for i in range(k):
-            if cg.eb[i] > 1.0 / (2 * k) + 1e-15 or not cg.ef[i] - 2.0 * cg.eb[i] > 0.0:
-                return False, f"step bound violated at K={k}, slab {i + 1}"
-    return True, "eb <= 1/(2K) and ef - 2eb > 0 throughout"
-
-
 def scalar_claims(grid_step: float, l_opts: Sequence[float] = ()) -> tuple[bool, str]:
     """The five grid claims, g2(1) = 1 exactly, and sup theta_hat <= 1 at each of `l_opts`."""
     report = geometry.verify_scalar_claims(grid_step)
@@ -205,7 +196,6 @@ CHECKS = (
     Check("coarse_graining", coarse_graining, ((1, 2, 4, 8, 16),), (_ALL_K,)),
     Check("product_criterion", product_criterion, ((4, 8),), ((2, 4, 8, 16, 32, 64),)),
     Check("partial_products", partial_products, ((4, 8),), (_ALL_K,)),
-    Check("step_bounds", step_bounds, ((8, 16),), (_ALL_K,)),
     Check("scalar_claims", scalar_claims, (1e-3,), (1e-4,)),
     Check("overlap_kernels", overlap_kernels, (100, 7), (100, 1)),
     Check("overlap_mc", overlap_mc, (((3, 1, 1.0, 97), (4, 2, 1.0, 97)), 10**5),

@@ -132,9 +132,19 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _require_positive_x(x: float) -> None:
+    if not 0 < x < math.inf:
+        raise UsageError(f"--x must be positive and finite, got {x}")
+
+
 def _cmd_identity(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.d > args.n or args.d < 0:
         raise UsageError(f"--d must satisfy 0 <= d <= n (got d={args.d}, n={args.n})")
+    if args.lmax < 0:
+        raise UsageError(f"--lmax must be >= 0, got {args.lmax}")
+    _require_positive_x(args.x)
     residual = pathcount.identity_residual(args.n, args.d, args.x, args.lmax)
     bound = pathcount.identity_remainder_bound(args.n, args.x, args.lmax)
     # identity_residual's float rounding is of order 1e-13 relative to its target
@@ -180,6 +190,10 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if not 0 < args.grid_step <= 1e-3:
+        raise UsageError(f"--grid-step must lie in (0, 1e-3], got {args.grid_step}")
+    if args.lopt is not None and not 1 < args.lopt <= 1.25:
+        raise UsageError(f"--lopt must lie in (1, 1.25], got {args.lopt}")
     report = geometry.verify_scalar_claims(args.grid_step)
     payload = {
         "grid_step": report.grid_step,
@@ -196,10 +210,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
+    if args.l < 1:
+        raise UsageError(f"--l must be >= 1, got {args.l}")
     if not 0 <= args.k <= args.l:
         raise UsageError(f"--k must satisfy 0 <= k <= l (got k={args.k}, l={args.l})")
-    if args.x <= 0:
-        raise UsageError(f"--x must be positive, got {args.x}")
+    _require_positive_x(args.x)
     if args.mc_trials is not None and args.mc_trials < 10**4:
         raise UsageError(f"--mc-trials must be >= 10000, got {args.mc_trials}")
     _require_seeds(args.seed, 1)

@@ -182,26 +182,21 @@ def evolution_product(cg: CoarseGraining, i: int) -> float:
     return prod
 
 
-def f_function(cg: CoarseGraining, dvec, strict: bool = False) -> float:
+def f_function(cg: CoarseGraining, dvec) -> float:
     """Product of per-slab factors at an arbitrary depth vector.
 
     Equals 1 at the solved depths cg.d and is strictly smaller at any other
     vector.  Depth vectors outside the per-slab feasible range correspond to
-    empty path ensembles; by default those contribute a factor 0 (so the
-    product is 0), while strict=True raises naming the offending slabs.
+    empty path ensembles; those contribute a factor 0, so the product is 0.
     """
     if len(dvec) != cg.K:
         raise ValueError(f"expected {cg.K} depths, got {len(dvec)}")
-    bad = []
     prod = 1.0
     for j, x in enumerate(dvec, start=1):
         try:
             prod *= g_factor(j, cg.K, x, cg)
         except GeometryDomainError:
-            bad.append(j)
             prod = 0.0
-    if bad and strict:
-        raise GeometryDomainError(f"infeasible depth at slabs {bad}")
     return prod
 
 
@@ -350,8 +345,8 @@ def verify_scalar_claims(grid_step: float = 1e-4) -> ScalarClaimsReport:
     Convexity is checked by central differences rather than symbolically; the
     -1e-6 threshold absorbs discretization error.
     """
-    if grid_step > 1e-3:
-        raise ValueError(f"grid_step must be <= 1e-3, got {grid_step}")
+    if not 0.0 < grid_step <= 1e-3:
+        raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     items = []
 
     sup = max(theta_hat_sup(grid_step, l_opt) for l_opt in (1.24, 1.25))

@@ -1,17 +1,21 @@
 """Exact combinatorics of hypercube walks.
 
-Walk counts M(n, l, d) between vertices at Hamming distance d are computed by
-the alternating-sign eigenvalue formula in exact integer arithmetic (the sum
-cancels catastrophically in floats), cross-checked by a brute-force dynamic
-program.  The generating function sum_l M(n,l,d) x^l / l! = sinh(x)^d
-cosh(x)^{n-d} drives everything else: truncation residuals, upper bounds on
-single counts, the normalized length-weight distribution at x = E (which has
-total mass sinh(E)^n = 1), and the exact tail sums behind the length
-concentration statement.
+The generating function sum_l M(n,l,d) x^l / l! = sinh(x)^d cosh(x)^{n-d}
+expands to M(n, l, d) = 2^-n sum_i K_i (n - 2i)^l, where the Krawtchouk
+weights K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) depend on (n, d) alone.  Every
+walk count is that sum in exact integer arithmetic (it cancels
+catastrophically in floats): `stanley_count` for one cell, `walk_counts` for
+l = 0, 1, 2, ... with the powers built incrementally.  A brute-force dynamic
+program cross-checks both.  The generating function drives everything else:
+truncation residuals, upper bounds on single counts, the normalized
+length-weight distribution at x = E (which has total mass sinh(E)^n = 1),
+and the exact tail sums behind the length concentration statement.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from math import comb, factorial
 
 from .constants import E, L
@@ -20,30 +24,55 @@ _BRUTE_FORCE_MAX_N = 6
 _BRUTE_FORCE_MAX_L = 12
 
 
+def _require_distance(n: int, d: int) -> None:
+    if not 0 <= d <= n:
+        raise ValueError(f"Hamming distance must satisfy 0 <= d <= n, got d={d}, n={n}")
+
+
+def _eigen_weights(n: int, d: int) -> list[int]:
+    """Krawtchouk weights K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) for i = 0..n."""
+    return [
+        sum((-1) ** j * comb(d, j) * comb(n - d, i - j) for j in range(min(d, i) + 1))
+        for i in range(n + 1)
+    ]
+
+
+def _divide_exact(total: int, n: int, l: int, d: int) -> int:
+    """total / 2^n, which must be a nonnegative integer for a walk count."""
+    count, rem = divmod(total, 1 << n)
+    if rem or count < 0:
+        raise ArithmeticError(f"inexact or negative walk count for (n={n}, l={l}, d={d})")
+    return count
+
+
 def stanley_count(n: int, l: int, d: int) -> int:
     """Number of walks (loops allowed) of length l between vertices at distance d.
 
-    Evaluates (1/2^n) * sum_{i=0}^{n} sum_{j=0}^{d} C(d,j) C(n-d,i-j) (-1)^j
-    (n-2i)^l [j <= i] entirely over integers; the final division by 2^n is
-    exact.  Conventions: 0^0 = 1 (the l = 0 term), so M(n,0,0) = 1.
+    Evaluates 2^-n sum_i K_i (n-2i)^l over the Krawtchouk weights entirely
+    over integers; the division by 2^n is exact.  Conventions: 0^0 = 1 (the
+    l = 0 term), so M(n,0,0) = 1.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got n={n}")
     if l < 0:
         raise ValueError(f"walk length must be nonnegative, got l={l}")
-    if not 0 <= d <= n:
-        raise ValueError(f"Hamming distance must satisfy 0 <= d <= n, got d={d}, n={n}")
-    total = 0
-    for i in range(n + 1):
-        for j in range(min(d, i) + 1):
-            term = comb(d, j) * comb(n - d, i - j) * (n - 2 * i) ** l
-            total += -term if j & 1 else term
-    count, rem = divmod(total, 1 << n)
-    if rem:
-        raise ArithmeticError(f"2^n division not exact for (n={n}, l={l}, d={d})")
-    if count < 0:
-        raise ArithmeticError(f"negative walk count for (n={n}, l={l}, d={d})")
-    return count
+    _require_distance(n, d)
+    total = sum(w * (n - 2 * i) ** l for i, w in enumerate(_eigen_weights(n, d)))
+    return _divide_exact(total, n, l, d)
+
+
+def walk_counts(n: int, d: int) -> Iterator[int]:
+    """Yield M(n, l, d) for l = 0, 1, 2, ... without end.
+
+    Keeps the powers (n-2i)^l and multiplies them once per step, so the
+    first l_max + 1 counts cost O(n * l_max) big-int multiplications.
+    """
+    weights = _eigen_weights(n, d)
+    bases = [n - 2 * i for i in range(n + 1)]
+    powers = [1] * (n + 1)
+    for l in itertools.count():
+        yield _divide_exact(sum(w * p for w, p in zip(weights, powers)), n, l, d)
+        powers = [p * b for p, b in zip(powers, bases)]
 
 
 def brute_force_walk_count(n: int, l: int, d: int) -> int:
@@ -72,64 +101,14 @@ def brute_force_walk_count(n: int, l: int, d: int) -> int:
     return occupancy[(1 << d) - 1]
 
 
-def counts_to_opposite(n: int, l_max: int) -> list[int]:
-    """Exact M(n, l, n) for l = 0..l_max (walks between antipodal vertices).
-
-    Specialization of the alternating formula at d = n, with the (n-2j)^l
-    powers built incrementally so a whole row costs O(n * l_max) big-int
-    multiplications.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got n={n}")
-    coeffs = [comb(n, j) * (-1 if j & 1 else 1) for j in range(n + 1)]
-    bases = [n - 2 * j for j in range(n + 1)]
-    powers = [1] * (n + 1)
-    out = []
-    for _ in range(l_max + 1):
-        total = sum(c * p for c, p in zip(coeffs, powers))
-        count, rem = divmod(total, 1 << n)
-        if rem or count < 0:
-            raise ArithmeticError("inexact or negative antipodal count")
-        out.append(count)
-        powers = [p * b for p, b in zip(powers, bases)]
-    return out
-
-
-@dataclass(frozen=True)
-class PathCountTable:
-    """Immutable table of exact walk counts, keyed by (length, distance)."""
-
-    n: int
-    l_max: int
-    counts: dict[tuple[int, int], int] = field(repr=False)
-
-    @classmethod
-    def build(cls, n: int, l_max: int) -> "PathCountTable":
-        counts = {}
-        for l in range(l_max + 1):
-            for d in range(n + 1):
-                # parity / reachability zeros are stored explicitly
-                counts[(l, d)] = 0 if (l < d or (l - d) & 1) else stanley_count(n, l, d)
-        return cls(n=n, l_max=l_max, counts=counts)
-
-    def count(self, l: int, d: int) -> int:
-        return self.counts[(l, d)]
-
-    def to_json_dict(self) -> dict:
-        # counts exceed 64-bit range quickly; serialize as decimal strings
-        return {
-            "n": self.n,
-            "l_max": self.l_max,
-            "counts": {f"{l},{d}": str(c) for (l, d), c in sorted(self.counts.items())},
-        }
-
-
 def identity_remainder_bound(n: int, x: float, l_max: int) -> float:
     """Upper bound on sum_{l > l_max} M(n,l,d) x^l / l!, uniform in d.
 
     Uses M(n,l,d) <= n^l and a geometric majorization of the exponential
     tail; requires n*x < l_max + 2 so the ratio test closes.
     """
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
     nx = n * x
     if nx >= l_max + 2:
         raise ValueError(f"l_max={l_max} too small for remainder bound at n*x={nx:.3f}")
@@ -145,22 +124,18 @@ def identity_residual(n: int, d: int, x: float, l_max: int) -> float:
     nonnegative, so there is no cancellation); the residual is the analytic
     truncation remainder plus float rounding of order 1e-13 relative.
     """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
-    if not 0 <= d <= n:
-        raise ValueError(f"Hamming distance must satisfy 0 <= d <= n, got d={d}, n={n}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
+    _require_distance(n, d)
     if identity_remainder_bound(n, x, l_max) > 1e-12:
         raise ValueError(f"l_max={l_max} leaves a truncation remainder above 1e-12")
     terms = []
-    for l in range(l_max + 1):
-        if l < d or (l - d) & 1:
-            continue
-        m = stanley_count(n, l, d)
+    for l, m in zip(range(l_max + 1), walk_counts(n, d)):
         if m:
             try:
                 terms.append(float(m) * x**l / factorial(l))
             except OverflowError:
-                terms.append(math.exp(math.log(m) + l * math.log(x) - math.lgamma(l + 1)))
+                terms.append(math.exp(_log_weight(m, x, l)))
     target = math.sinh(x) ** d * math.cosh(x) ** (n - d)
     return abs(math.fsum(terms) - target)
 
@@ -169,8 +144,7 @@ def log_m_bound(n: int, l: int, d: int, x: float) -> float:
     """log of sinh(x)^d cosh(x)^{n-d} l! / x^l."""
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
-    if not 0 <= d <= n:
-        raise ValueError(f"Hamming distance must satisfy 0 <= d <= n, got d={d}, n={n}")
+    _require_distance(n, d)
     if l < 0:
         raise ValueError(f"walk length must be nonnegative, got l={l}")
     return (
@@ -259,18 +233,18 @@ def length_weight_distribution(n: int, l_max: int) -> LengthWeightDistribution:
     M(n,l,n) * p^l / (q^l * l!) where E = p/q exactly as a dyadic, so the
     reported mass carries no accumulated rounding beyond one ulp per term.
     """
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got n={n}")
     if l_max < 3 * n:
         raise ValueError(f"l_max must be at least 3n = {3 * n}, got {l_max}")
-    counts = counts_to_opposite(n, l_max)
     p, q = E.as_integer_ratio()
     weights = []
     num_pow = 1  # p^l
     den = 1  # q^l * l!
-    for l in range(l_max + 1):
+    for l, m in zip(range(l_max + 1), walk_counts(n, n)):
         if l:
             num_pow *= p
             den *= q * l
-        m = counts[l]
         weights.append((m * num_pow) / den if m else 0.0)
     return LengthWeightDistribution(
         n=n,
@@ -303,42 +277,21 @@ def concentration_tail_mass(n: int, eps: float, a: float) -> tuple[float, float]
     lower_cut = math.floor((L - a * eps) * n)
     upper_cut = math.ceil((L + a * eps) * n)
 
-    coeffs = [comb(n, j) * (-1 if j & 1 else 1) for j in range(n + 1)]
-    bases = [n - 2 * j for j in range(n + 1)]
-    powers = [1] * (n + 1)
-
-    def next_count() -> int:
-        total = sum(c * p for c, p in zip(coeffs, powers))
-        for j in range(n + 1):
-            powers[j] *= bases[j]
-        count, rem = divmod(total, 1 << n)
-        if rem or count < 0:
-            raise ArithmeticError("inexact or negative antipodal count")
-        return count
-
     lower_terms = []
-    l = 0
-    while l <= lower_cut:
-        m = next_count()
-        if m:
-            lower_terms.append(math.exp(_log_weight(m, x, l)))
-        l += 1
-    while l < upper_cut:
-        next_count()
-        l += 1
-
     upper_terms = []
     accumulated = 0.0
-    while True:
-        m = next_count()
-        term = math.exp(_log_weight(m, x, l)) if m else 0.0
-        upper_terms.append(term)
-        accumulated += term
-        # geometric decay is guaranteed once l exceeds the summand peak n*x
-        if l > n * x and 0.0 < term < 1e-18 * accumulated:
-            upper_terms.append(_weight_tail_bound(n, x, l))
-            break
-        l += 1
-        if l > 1000 * max(n, 1):
-            raise ArithmeticError("upper tail failed to converge")
+    for l, m in enumerate(walk_counts(n, n)):
+        if l <= lower_cut:
+            if m:
+                lower_terms.append(math.exp(_log_weight(m, x, l)))
+        elif l >= upper_cut:
+            term = math.exp(_log_weight(m, x, l)) if m else 0.0
+            upper_terms.append(term)
+            accumulated += term
+            # geometric decay is guaranteed once l exceeds the summand peak n*x
+            if l > n * x and 0.0 < term < 1e-18 * accumulated:
+                upper_terms.append(_weight_tail_bound(n, x, l))
+                break
+            if l >= 1000 * max(n, 1):
+                raise ArithmeticError("upper tail failed to converge")
     return math.fsum(lower_terms), math.fsum(upper_terms)

@@ -53,7 +53,7 @@ def test_criterion_05_partial_products():
 
 def test_criterion_06_effective_step_inequalities():
     start = time.monotonic()
-    ok, detail = checks.step_bounds(range(1, 65))
+    ok, detail = checks.coarse_graining(range(1, 65))
     _report(6, "effective_step_inequalities", ok, time.monotonic() - start, 10, detail)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polylab import cli, simulator
+from polylab import checks, cli, simulator
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +171,22 @@ class TestSimulate:
         ["simulate", "--n", "6", "--trials", "1", "--seed", "0", "--parallelism", "0"],
         ["simulate", "--n", "0", "--trials", "1", "--seed", "0"],
         ["simulate", "--n", str(simulator.MAX_DIMENSION + 1), "--trials", "1", "--seed", "0"],
+        ["identity", "--n", "3", "--d", "3", "--x", "nan", "--lmax", "60"],
+        ["identity", "--n", "3", "--d", "3", "--x", "inf", "--lmax", "60"],
+        ["identity", "--n", "3", "--d", "3", "--x", "-1", "--lmax", "60"],
+        ["identity", "--n", "3", "--d", "3", "--x", "0", "--lmax", "60"],
+        ["identity", "--n", "0", "--d", "0", "--x", "1.0", "--lmax", "60"],
+        ["identity", "--n", "3", "--d", "3", "--x", "1.0", "--lmax", "-5"],
+        ["overlap", "--l", "3", "--k", "1", "--x", "inf"],
+        ["overlap", "--l", "3", "--k", "1", "--x", "nan"],
+        ["overlap", "--l", "0", "--k", "0", "--x", "1.0"],
+        ["analyze", "--grid-step", "0"],
+        ["analyze", "--grid-step", "-1e-4"],
+        ["analyze", "--grid-step", "0.01"],
+        ["analyze", "--grid-step", "nan"],
+        ["analyze", "--grid-step", "1e-3", "--lopt", "2"],
+        ["analyze", "--grid-step", "1e-3", "--lopt", "1"],
+        ["analyze", "--grid-step", "1e-3", "--lopt", "nan"],
     ],
 )
 def test_usage_error_exits_2(argv, capsys):
@@ -185,5 +201,5 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--fast")
         assert code == 0, out
         assert "overall: PASS" in out
-        assert out.count("PASS") >= 15  # one per check plus the overall line
+        assert out.count("PASS") == len(checks.CHECKS) + 1  # one per check plus the overall line
         assert "FAIL" not in out

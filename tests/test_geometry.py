@@ -190,8 +190,6 @@ class TestFFunction:
         dvec = list(cg.d)
         dvec[0] += 0.01
         assert geometry.f_function(cg, dvec) == 0.0
-        with pytest.raises(geometry.GeometryDomainError):
-            geometry.f_function(cg, dvec, strict=True)
 
 
 class TestOptimalProfile:

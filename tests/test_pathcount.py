@@ -1,10 +1,34 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polylab import pathcount
 from polylab.constants import E, L
+
+REFERENCE = Path(__file__).parents[1] / "bench" / "reference.json"
+
+# length_weight_distribution(40, 120).weights[40::2], frozen from the
+# implementation that summed each count's alternating series separately
+_FROZEN_WEIGHTS_N40 = (
+    0.006403261788738002, 0.033161186534016646, 0.08500883497650734,
+    0.14382555416839635, 0.18067300376370052, 0.17974622725579745,
+    0.14752323303936496, 0.10273687713184618, 0.06197404726656911,
+    0.03289640624607862, 0.015557363621877608, 0.006621201909656954,
+    0.0025571447306824693, 0.0009024410610245142, 0.00029275649902535373,
+    8.774901604434366e-05, 2.440976450152078e-05, 6.326655095236005e-06,
+    1.5331472130814916e-06, 3.48449961348043e-07, 7.448254327400432e-08,
+    1.5011352692883904e-08, 2.8591020672833773e-09, 5.156918064645182e-10,
+    8.825350701173859e-11, 1.4355517667460128e-11, 2.2230861704986893e-12,
+    3.282447778995984e-13, 4.627546841897055e-14, 6.237081591406758e-15,
+    8.046717632166408e-16, 9.948523772631829e-17, 1.1799585902871759e-17,
+    1.3439451332404258e-18, 1.4713518626056726e-19, 1.5497538635153428e-20,
+    1.5717748708163999e-21, 1.5362102390296417e-22, 1.4480298050925708e-23,
+    1.317311978967887e-24, 1.1574093945769449e-25,
+)
 
 
 class TestStanleyCount:
@@ -28,6 +52,10 @@ class TestStanleyCount:
                     assert pathcount.stanley_count(n, l, d) == pathcount.brute_force_walk_count(
                         n, l, d
                     ), (n, l, d)
+
+    def test_frozen_benchmark_count(self):
+        frozen = json.loads(REFERENCE.read_text())["count"]["200:600:100"]
+        assert str(pathcount.stanley_count(200, 600, 100)) == frozen
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -73,22 +101,24 @@ class TestBruteForceWalkCount:
             pathcount.brute_force_walk_count(3, 13, 1)
 
 
-class TestPathCountTable:
-    def test_build_and_invariants(self):
-        table = pathcount.PathCountTable.build(3, 8)
-        assert table.count(0, 0) == 1
-        assert all(table.count(0, d) == 0 for d in range(1, 4))
-        for (l, d), c in table.counts.items():
-            assert c >= 0
-            if l < d or (l - d) % 2:
-                assert c == 0
-            assert c == pathcount.brute_force_walk_count(3, l, d)
+def _first_counts(n, d, count):
+    return list(itertools.islice(pathcount.walk_counts(n, d), count))
 
-    def test_json_counts_are_decimal_strings(self):
-        table = pathcount.PathCountTable.build(2, 4)
-        payload = table.to_json_dict()
-        assert payload["counts"]["2,0"] == "2"
-        assert all(isinstance(v, str) for v in payload["counts"].values())
+
+class TestWalkCounts:
+    def test_oracle_equivalence_on_brute_force_range(self):
+        for n in range(1, 7):
+            for d in range(n + 1):
+                counts = _first_counts(n, d, 13)
+                for l in range(13):
+                    assert counts[l] == pathcount.brute_force_walk_count(n, l, d), (n, l, d)
+
+    @pytest.mark.parametrize("n", [20, 64])
+    def test_equals_stanley_count(self, n):
+        for d in range(n + 1):
+            counts = _first_counts(n, d, 3 * n + 1)
+            for l in range(3 * n + 1):
+                assert counts[l] == pathcount.stanley_count(n, l, d), (n, l, d)
 
 
 class TestIdentityResidual:
@@ -113,6 +143,13 @@ class TestIdentityResidual:
     def test_rejects_insufficient_truncation(self):
         with pytest.raises(ValueError):
             pathcount.identity_residual(10, 5, 1.5, 10)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_x_outside_positive_reals(self, x):
+        with pytest.raises(ValueError):
+            pathcount.identity_residual(3, 3, x, 60)
+        with pytest.raises(ValueError):
+            pathcount.identity_remainder_bound(3, x, 60)
 
 
 class TestMBound:
@@ -189,6 +226,12 @@ class TestLengthWeightDistribution:
         total = dist.total_mass()
         assert total >= 1.0 - dist.tail_bound - 1e-10
         assert total <= 1.0 + 1e-10
+
+    def test_frozen_weights_n40(self):
+        # the nonzero weights sit at even l >= n
+        weights = pathcount.length_weight_distribution(40, 120).weights
+        assert weights[40::2] == _FROZEN_WEIGHTS_N40
+        assert not any(w for l, w in enumerate(weights) if l < 40 or l % 2)
 
     def test_weights_nonnegative_and_mass_bounds(self):
         for n in (5, 20, 60):
