@@ -142,8 +142,8 @@ def identity_residual(n: int, d: int, x: float, l_max: int) -> float:
 
 def log_m_bound(n: int, l: int, d: int, x: float) -> float:
     """log of sinh(x)^d cosh(x)^{n-d} l! / x^l."""
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
     _require_distance(n, d)
     if l < 0:
         raise ValueError(f"walk length must be nonnegative, got l={l}")
@@ -156,7 +156,7 @@ def log_m_bound(n: int, l: int, d: int, x: float) -> float:
 
 
 def m_bound(n: int, l: int, d: int, x: float) -> float:
-    """Generating-function upper bound on M(n,l,d), valid for every x > 0.
+    """Generating-function upper bound on M(n,l,d), valid for every finite x > 0.
 
     Raises OverflowError when the bound exceeds the float range (the log-space
     value is still available via log_m_bound).

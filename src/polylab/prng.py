@@ -15,6 +15,10 @@ _KEY_A = 0x9E3779B97F4A7C15
 _KEY_B = 0xD1B54A32D192ED03
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
+# Largest double below 1.  (mix64 + 0.5) * 2**-64 rounds to exactly 1.0 when
+# mix64 >= 2**64 - 2**10; those draws are clamped here, every other draw is
+# left as it is.
+_U_MAX = 1.0 - 2.0**-53
 
 
 def mix64(seed: int, a: int, b: int) -> int:
@@ -29,8 +33,9 @@ def mix64(seed: int, a: int, b: int) -> int:
 
 
 def uniform01(seed: int, a: int, b: int) -> float:
-    """Open-interval uniform in (0, 1): u = (mix64 + 0.5) * 2**-64 is never 0 or 1."""
-    return (mix64(seed, a, b) + 0.5) * 2.0**-64
+    """Open-interval uniform in (0, 1): u = (mix64 + 0.5) * 2**-64, clamped to _U_MAX."""
+    u = (mix64(seed, a, b) + 0.5) * 2.0**-64
+    return u if u < 1.0 else _U_MAX
 
 
 def exponential(seed: int, a: int, b: int) -> float:
@@ -57,7 +62,8 @@ def vertex_exponentials(seed: int, vertex: int, n: int) -> list[float]:
         z ^= z >> 27
         z = (z * _MIX_2) & _MASK64
         z ^= z >> 31
-        out.append(-log((z + 0.5) * 2.0**-64))
+        u = (z + 0.5) * 2.0**-64
+        out.append(-log(u if u < 1.0 else _U_MAX))
     return out
 
 
@@ -74,7 +80,8 @@ def mix64_array(seed: int, a: np.ndarray, b: int) -> np.ndarray:
 
 
 def uniform01_array(seed: int, a: np.ndarray, b: int) -> np.ndarray:
-    return (mix64_array(seed, a, b).astype(np.float64) + 0.5) * 2.0**-64
+    u = (mix64_array(seed, a, b).astype(np.float64) + 0.5) * 2.0**-64
+    return np.minimum(u, _U_MAX, out=u)
 
 
 def exponential_array(seed: int, a: np.ndarray, b: int) -> np.ndarray:

@@ -7,10 +7,14 @@ Ground states are exact shortest paths from the all-zeros to the all-ones
 vertex: compiled sparse Dijkstra over the materialized weight table for
 n <= CSR_MAX_DIMENSION, and above it a bidirectional Dijkstra that draws
 weights on demand and keeps state only for the two balls it explores.
-Per-path geometry (length, depth profile, backsteps, energy split) is
-measured against the closed-form predictions.  Small instances carry an
-exhaustive simple-path oracle, and a separate brute-force counter measures
-edge overlaps between directed paths.
+Every engine returns one `PolymerPath`, built once from its vertex sequence:
+the constructor checks the walk and reads each step's edge weight, and the
+energy m_n, the steps and the backsteps are read off it.  `path_statistics`
+turns a path into a `TrialRecord` of the per-path geometry (length, depth
+profile, backstep placement, energy split) that is measured against the
+closed-form predictions.  Small instances carry an exhaustive simple-path
+oracle, and a separate brute-force counter measures edge overlaps between
+directed paths.
 """
 
 import math
@@ -86,76 +90,55 @@ def weight_table(instance: HypercubeInstance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolymerPath:
-    """A path from all-zeros to all-ones as a sequence of signed coordinate steps.
+    """A path from all-zeros to all-ones: its vertices and the weight of each step.
 
-    steps[j] = +(d+1) sets bit d (a forward step), -(d+1) clears it (a
-    backstep); vertices is the induced vertex sequence including both
-    endpoints.  General paths may revisit vertices; ground-state paths never
-    do.
+    Build it with `from_vertices`, which validates the vertex sequence and
+    reads each step's edge weight once; `energy` is the left-to-right sum of
+    `weights`.  Steps, length and backsteps are read off the vertices.
+    General paths may revisit vertices; ground-state paths never do.
     """
 
-    steps: tuple[int, ...]
     vertices: tuple[int, ...]
+    weights: tuple[float, ...]
     energy: float
+
+    @classmethod
+    def from_vertices(cls, instance: HypercubeInstance, vertices) -> "PolymerPath":
+        """Raises ValueError unless the walk runs from 0 to the target by single-bit flips."""
+        vertices = tuple(vertices)
+        if vertices[0] != 0 or vertices[-1] != instance.target:
+            raise ValueError(f"path runs from {vertices[0]} to {vertices[-1]}, not from 0 to {instance.target}")
+        weights = []
+        energy = 0.0  # an explicit loop: sum() of floats is compensated from Python 3.12 on
+        for a, b in zip(vertices, vertices[1:]):
+            flipped = a ^ b
+            if flipped <= 0 or flipped & (flipped - 1):
+                raise ValueError(f"step {a} -> {b} does not flip exactly one bit")
+            w = edge_weight(instance, a, flipped.bit_length() - 1)
+            weights.append(w)
+            energy += w
+        return cls(vertices=vertices, weights=tuple(weights), energy=energy)
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        """Signed coordinates: +(d+1) sets bit d (a forward step), -(d+1) clears it (a backstep)."""
+        return tuple(
+            (a ^ b).bit_length() * (1 if b > a else -1) for a, b in zip(self.vertices, self.vertices[1:])
+        )
 
     @property
     def length(self) -> int:
-        return len(self.steps)
+        return len(self.weights)
 
     @property
     def backstep_count(self) -> int:
-        return sum(1 for s in self.steps if s < 0)
+        return sum(1 for a, b in zip(self.vertices, self.vertices[1:]) if b < a)
 
     def is_loopless(self) -> bool:
         return len(set(self.vertices)) == len(self.vertices)
 
-    @classmethod
-    def from_steps(cls, instance: HypercubeInstance, steps) -> "PolymerPath":
-        steps = tuple(int(s) for s in steps)
-        vertices = [0]
-        energy = 0.0
-        v = 0
-        for s in steps:
-            if not 1 <= abs(s) <= instance.n:
-                raise ValueError(f"step {s} out of range for n={instance.n}")
-            dim = abs(s) - 1
-            bit = (v >> dim) & 1
-            if (s > 0) == bool(bit):
-                raise ValueError(f"step {s} does not flip bit {dim} of vertex {v}")
-            energy += edge_weight(instance, v, dim)
-            v ^= 1 << dim
-            vertices.append(v)
-        if v != instance.target:
-            raise ValueError("path does not end at the all-ones vertex")
-        return cls(steps=steps, vertices=tuple(vertices), energy=energy)
 
-
-def _steps_from_vertices(vertices) -> tuple[int, ...]:
-    steps = []
-    for a, b in zip(vertices, vertices[1:]):
-        dim = (a ^ b).bit_length() - 1
-        steps.append(dim + 1 if (b >> dim) & 1 else -(dim + 1))
-    return tuple(steps)
-
-
-def _path_energy(instance: HypercubeInstance, vertices) -> float:
-    total = 0.0
-    for a, b in zip(vertices, vertices[1:]):
-        dim = (a ^ b).bit_length() - 1
-        total += edge_weight(instance, a, dim)
-    return total
-
-
-def _polymer(instance: HypercubeInstance, vertices) -> tuple[float, PolymerPath]:
-    path = PolymerPath(
-        steps=_steps_from_vertices(vertices),
-        vertices=tuple(vertices),
-        energy=_path_energy(instance, vertices),
-    )
-    return path.energy, path
-
-
-def _csr_search(instance: HypercubeInstance) -> tuple[float, PolymerPath]:
+def _csr_search(instance: HypercubeInstance) -> PolymerPath:
     """Compiled single-source Dijkstra over the materialized (2^n, n) weight table."""
     n = instance.n
     size = instance.num_vertices
@@ -171,10 +154,10 @@ def _csr_search(instance: HypercubeInstance) -> tuple[float, PolymerPath]:
             raise ArithmeticError("target unreachable; the hypercube is connected")
         vertices.append(v)
     vertices.reverse()
-    return _polymer(instance, vertices)
+    return PolymerPath.from_vertices(instance, vertices)
 
 
-def _bidirectional_search(instance: HypercubeInstance) -> tuple[float, PolymerPath]:
+def _bidirectional_search(instance: HypercubeInstance) -> PolymerPath:
     """Bidirectional Dijkstra (Pohl 1971) with lazily generated edge weights.
 
     Grows one ball from 0 and one from the target, always expanding the side
@@ -218,11 +201,11 @@ def _bidirectional_search(instance: HypercubeInstance) -> tuple[float, PolymerPa
     while v >= 0:
         vertices.append(v)
         v = pred[1][v]
-    return _polymer(instance, vertices)
+    return PolymerPath.from_vertices(instance, vertices)
 
 
-def ground_state(instance: HypercubeInstance) -> tuple[float, PolymerPath]:
-    """Exact minimal path energy between the antipodal corners, and one minimizer.
+def ground_state(instance: HypercubeInstance) -> PolymerPath:
+    """One minimal-energy path between the antipodal corners; m_n is its `energy`.
 
     The engine follows from n alone.  Up to CSR_MAX_DIMENSION, compiled
     sparse Dijkstra over the full weight table is fastest: its per-trial
@@ -230,17 +213,17 @@ def ground_state(instance: HypercubeInstance) -> tuple[float, PolymerPath]:
     it, a bidirectional Dijkstra settles only two small balls around the
     endpoints (radius about m_n / 2 ~ 0.44) with weights drawn on demand,
     so its time and memory scale with those balls, not with 2^n.  Both
-    find the same minimizer, and the returned energy is the path-order
-    weight sum, which both engines and the exhaustive oracle reproduce
-    bit-for-bit.  Any vertex repeat could be spliced out for a cheaper
-    path, so minimizers are loopless.
+    find the same minimizer, and its energy is the path-order weight sum,
+    which both engines and the exhaustive oracle reproduce bit-for-bit.
+    Any vertex repeat could be spliced out for a cheaper path, so
+    minimizers are loopless.
     """
     if instance.n <= CSR_MAX_DIMENSION:
         return _csr_search(instance)
     return _bidirectional_search(instance)
 
 
-def brute_force_ground_state(instance: HypercubeInstance) -> tuple[float, PolymerPath]:
+def brute_force_ground_state(instance: HypercubeInstance) -> PolymerPath:
     """Exhaustive search over all simple paths; exact oracle for n <= 4."""
     if instance.n > 4:
         raise ValueError(f"brute force limited to n <= 4, got {instance.n}")
@@ -269,58 +252,12 @@ def brute_force_ground_state(instance: HypercubeInstance) -> tuple[float, Polyme
 
     dfs(0, 0.0, 1)
     assert best_path is not None
-    return _polymer(instance, best_path)
-
-
-@dataclass(frozen=True)
-class PathStatistics:
-    """Per-path geometry: depth profile, backstep placement, energy split."""
-
-    normalized_depth_profile: tuple[tuple[float, float], ...]
-    backstep_count: int
-    first_half_energy: float
-    profile_bins: tuple[float, ...]  # mean depth per alpha-bin, nan when empty
-    backstep_deciles: tuple[int, ...]  # backstep count per alpha-decile
-
-
-def path_statistics(instance: HypercubeInstance, path: PolymerPath) -> PathStatistics:
-    """Measure one path: (j/l, d_j/n) at every step, backsteps, first-half energy."""
-    n = instance.n
-    l = path.length
-    profile = []
-    bin_sums = [0.0] * PROFILE_BINS
-    bin_counts = [0] * PROFILE_BINS
-    deciles = [0] * BACKSTEP_DECILES
-    first_half_energy = 0.0
-    half_steps = (l + 1) // 2
-    for j, (a, b) in enumerate(zip(path.vertices, path.vertices[1:]), start=1):
-        alpha = j / l
-        depth = bin(b).count("1") / n
-        profile.append((alpha, depth))
-        bin_index = min(PROFILE_BINS - 1, int(alpha * PROFILE_BINS))
-        bin_sums[bin_index] += depth
-        bin_counts[bin_index] += 1
-        if b == a & ~(a ^ b):  # moving towards the origin: the differing bit was cleared
-            decile = min(BACKSTEP_DECILES - 1, int((j - 0.5) / l * BACKSTEP_DECILES))
-            deciles[decile] += 1
-        if j <= half_steps:
-            dim = (a ^ b).bit_length() - 1
-            first_half_energy += edge_weight(instance, a, dim)
-    bins = tuple(
-        bin_sums[i] / bin_counts[i] if bin_counts[i] else math.nan for i in range(PROFILE_BINS)
-    )
-    return PathStatistics(
-        normalized_depth_profile=tuple(profile),
-        backstep_count=sum(deciles),
-        first_half_energy=first_half_energy,
-        profile_bins=bins,
-        backstep_deciles=tuple(deciles),
-    )
+    return PolymerPath.from_vertices(instance, best_path)
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Measurement bundle of a single ground-state computation."""
+    """Measurement bundle of one path: energy, length, depth profile, backstep placement."""
 
     n: int
     seed: int
@@ -329,33 +266,44 @@ class TrialRecord:
     length: int
     backstep_count: int
     first_half_energy: float
-    profile_bins: tuple[float, ...]
-    backstep_deciles: tuple[int, ...]
+    profile_bins: tuple[float, ...]  # mean depth per alpha-bin, nan when empty
+    backstep_deciles: tuple[int, ...]  # backstep count per alpha-decile
 
-    def __post_init__(self):
-        if not self.m_n > 0.0:
-            raise ArithmeticError("ground-state energy must be positive")
-        if self.length < self.n or (self.length - self.n) % 2:
-            raise ArithmeticError("path length must be >= n with the parity of n")
-        if self.backstep_count != (self.length - self.n) // 2:
-            raise ArithmeticError("backstep count inconsistent with length")
+
+def path_statistics(instance: HypercubeInstance, path: PolymerPath, trial: int = 0) -> TrialRecord:
+    """Measure one path: depth d_j/n binned by j/l, backsteps per decile, first-half energy."""
+    n = instance.n
+    l = path.length
+    bin_sums = [0.0] * PROFILE_BINS
+    bin_counts = [0] * PROFILE_BINS
+    deciles = [0] * BACKSTEP_DECILES
+    for j, (a, b) in enumerate(zip(path.vertices, path.vertices[1:]), start=1):
+        bin_index = min(PROFILE_BINS - 1, int(j / l * PROFILE_BINS))
+        bin_sums[bin_index] += bin(b).count("1") / n
+        bin_counts[bin_index] += 1
+        if b < a:  # a backstep clears the flipped bit
+            deciles[min(BACKSTEP_DECILES - 1, int((j - 0.5) / l * BACKSTEP_DECILES))] += 1
+    first_half_energy = 0.0
+    for w in path.weights[: (l + 1) // 2]:
+        first_half_energy += w
+    return TrialRecord(
+        n=n,
+        seed=instance.seed,
+        trial=trial,
+        m_n=path.energy,
+        length=l,
+        backstep_count=path.backstep_count,
+        first_half_energy=first_half_energy,
+        profile_bins=tuple(
+            bin_sums[i] / bin_counts[i] if bin_counts[i] else math.nan for i in range(PROFILE_BINS)
+        ),
+        backstep_deciles=tuple(deciles),
+    )
 
 
 def run_trial(n: int, seed: int, trial: int) -> TrialRecord:
     instance = HypercubeInstance(n=n, seed=seed)
-    m_n, path = ground_state(instance)
-    stats = path_statistics(instance, path)
-    return TrialRecord(
-        n=n,
-        seed=seed,
-        trial=trial,
-        m_n=m_n,
-        length=path.length,
-        backstep_count=stats.backstep_count,
-        first_half_energy=stats.first_half_energy,
-        profile_bins=stats.profile_bins,
-        backstep_deciles=stats.backstep_deciles,
-    )
+    return path_statistics(instance, ground_state(instance), trial)
 
 
 @dataclass(frozen=True)
@@ -433,20 +381,13 @@ def run_trials(
     return records, aggregate_records(records, base_seed)
 
 
-def directed_overlap_count(n: int, k: int) -> int:
-    """Number of directed paths sharing exactly k edges with the path 1,2,...,n.
+def directed_overlap_table(n: int) -> list[int]:
+    """Entry k counts the directed paths sharing exactly k edges with the path 1,2,...,n.
 
     A directed path is a permutation of the coordinate order; it traverses
     the reference edge at level j iff its first j-1 coordinates are exactly
     {1..j-1} and the j-th is j.  Exhaustive over all n! permutations, n <= 7.
     """
-    counts = directed_overlap_table(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"shared edges must satisfy 0 <= k <= n, got {k}")
-    return counts[k]
-
-
-def directed_overlap_table(n: int) -> list[int]:
     if not 1 <= n <= 7:
         raise ValueError(f"brute force limited to n <= 7, got {n}")
     counts = [0] * (n + 1)

@@ -59,7 +59,7 @@ def test_criterion_06_effective_step_inequalities():
 
 def test_criterion_07_scalar_envelope_claims():
     start = time.monotonic()
-    ok, detail = checks.scalar_claims(1e-4, l_opts=(1.24, 1.25))
+    ok, detail = checks.scalar_claims(1e-4)
     _report(7, "scalar_envelope_claims", ok, time.monotonic() - start, 20, detail)
 
 

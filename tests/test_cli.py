@@ -159,6 +159,13 @@ class TestSimulate:
         m_back = float(lines[1].split(",")[3])
         assert m_back == simulator.run_trial(5, 3, 0).m_n  # 17 significant digits round-trip
 
+    def test_seed_whose_uniform_rounds_to_one(self, capsys):
+        # the only edge of n = 1 draws mix64 = 2^64 - 1 at this seed
+        seed = "2175043581997826243"
+        code, out, _ = run_cli(capsys, "simulate", "--n", "1", "--trials", "1", "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["trials"][0]["m_n"] > 0.0
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -24,6 +24,7 @@ _FORMATTED = {
     "overlap": ["overlap", "--l", "4", "--k", "2", "--x", "0.5"],
     "overlap_mc": ["overlap", "--l", "3", "--k", "1", "--x", "1.0", "--mc-trials", "10000", "--seed", "5"],
     "simulate": ["simulate", "--n", "6", "--trials", "4", "--seed", "1"],
+    "simulate_n16": ["simulate", "--n", "16", "--trials", "2", "--seed", "0"],  # bidirectional engine
 }
 CASES = {
     **{f"{name}.{fmt}": argv + ["--format", fmt] for name, argv in _FORMATTED.items() for fmt in ("json", "csv")},

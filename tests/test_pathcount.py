@@ -185,6 +185,13 @@ class TestMBound:
         with pytest.raises(OverflowError):
             pathcount.m_bound(10, 400, 10, 1e-3)
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_x(self, x):
+        with pytest.raises(ValueError):
+            pathcount.log_m_bound(3, 3, 3, x)
+        with pytest.raises(ValueError):
+            pathcount.m_bound(3, 3, 3, x)
+
 
 class TestSolveLengthRatio:
     def test_energy_constant_fixed_point(self):

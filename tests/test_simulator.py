@@ -50,6 +50,16 @@ class TestEdgeWeight:
                 expected = [simulator.edge_weight(inst, vertex, d) for d in range(26)]
                 assert simulator.prng.vertex_exponentials(seed, vertex, 26) == expected
 
+    def test_positive_where_the_uniform_rounds_to_one(self):
+        # mix64(seed, 0, 0) = 2^64 - 1, so (mix64 + 0.5) * 2^-64 rounds to 1.0
+        seed = 2175043581997826243
+        assert simulator.prng.mix64(seed, 0, 0) == 2**64 - 1
+        inst = HypercubeInstance(n=1, seed=seed)
+        assert simulator.edge_weight(inst, 0, 0) > 0.0
+        assert simulator.prng.exponential_array(seed, np.array([0], dtype=np.uint64), 0)[0] > 0.0
+        assert simulator.prng.vertex_exponentials(seed, 0, 1)[0] > 0.0
+        assert simulator.ground_state(inst).energy > 0.0
+
     def test_rejects_bad_dim(self):
         inst = HypercubeInstance(n=4, seed=0)
         with pytest.raises(ValueError):
@@ -66,67 +76,84 @@ class TestEdgeWeight:
         assert simulator.prng.uniform01(42, 5, 2) == 0.5808043460151064
 
 
+def _depths(path, n):
+    """(j/l, d_j/n) after every step j of the path."""
+    return [(j / path.length, bin(v).count("1") / n) for j, v in enumerate(path.vertices[1:], start=1)]
+
+
 class TestPolymerPath:
-    def test_from_steps_fully_directed(self):
+    def test_from_vertices_fully_directed(self):
         inst = HypercubeInstance(n=5, seed=3)
-        path = PolymerPath.from_steps(inst, [1, 2, 3, 4, 5])
+        path = PolymerPath.from_vertices(inst, [0, 1, 3, 7, 15, 31])
+        assert path.steps == (1, 2, 3, 4, 5)
         assert path.length == 5
         assert path.backstep_count == 0
-        assert path.vertices[0] == 0 and path.vertices[-1] == 31
+        assert path.is_loopless()
 
-    def test_from_steps_with_backstep(self):
+    def test_from_vertices_with_backstep(self):
         inst = HypercubeInstance(n=3, seed=3)
-        path = PolymerPath.from_steps(inst, [1, 2, -1, 1, 3])
+        path = PolymerPath.from_vertices(inst, [0, 1, 3, 2, 3, 7])
+        assert path.steps == (1, 2, -1, 1, 3)
         assert path.backstep_count == 1
         assert path.length == 5
-        assert path.vertices[-1] == 7
         assert not path.is_loopless()  # the +1 after -1 revisits a vertex
 
     def test_invalid_steps_rejected(self):
         inst = HypercubeInstance(n=3, seed=3)
         with pytest.raises(ValueError):
-            PolymerPath.from_steps(inst, [1, 1, 2, 3])  # sets an already-set bit
+            PolymerPath.from_vertices(inst, [0, 1, 1, 3, 7])  # repeated vertex: a step that flips no bit
         with pytest.raises(ValueError):
-            PolymerPath.from_steps(inst, [1, 2])  # does not reach all-ones
+            PolymerPath.from_vertices(inst, [0, 3, 7])  # a step that flips two bits
         with pytest.raises(ValueError):
-            PolymerPath.from_steps(inst, [4, 1, 2, 3])  # dimension out of range
+            PolymerPath.from_vertices(inst, [0, 8, 9, 11, 15, 7])  # dimension out of range
+
+    def test_wrong_endpoints_rejected(self):
+        inst = HypercubeInstance(n=3, seed=3)
+        with pytest.raises(ValueError):
+            PolymerPath.from_vertices(inst, [1, 3, 7])  # wrong start
+        with pytest.raises(ValueError):
+            PolymerPath.from_vertices(inst, [0, 1, 3])  # wrong end
 
     def test_energy_is_sum_of_edge_weights(self):
         inst = HypercubeInstance(n=4, seed=11)
-        path = PolymerPath.from_steps(inst, [2, 1, 3, 4])
-        total = sum(
+        path = PolymerPath.from_vertices(inst, [0, 2, 3, 7, 15])
+        weights = [
             simulator.edge_weight(inst, a, (a ^ b).bit_length() - 1)
             for a, b in zip(path.vertices, path.vertices[1:])
-        )
-        assert path.energy == pytest.approx(total, rel=1e-9)
+        ]
+        assert path.weights == tuple(weights)
+        total = 0.0
+        for w in weights:
+            total += w
+        assert path.energy == total
 
 
 class TestGroundState:
     def test_single_edge(self):
         inst = HypercubeInstance(n=1, seed=5)
-        m, path = simulator.ground_state(inst)
+        path = simulator.ground_state(inst)
         assert path.steps == (1,)
-        assert m == simulator.edge_weight(inst, 0, 0)
+        assert path.energy == simulator.edge_weight(inst, 0, 0)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_equals_brute_force_over_seeds(self, n):
         for seed in range(25):
             inst = HypercubeInstance(n=n, seed=seed)
-            m_fast, path_fast = simulator.ground_state(inst)
-            m_brute, path_brute = simulator.brute_force_ground_state(inst)
-            assert m_fast == m_brute, (n, seed)
+            path_fast = simulator.ground_state(inst)
+            path_brute = simulator.brute_force_ground_state(inst)
+            assert path_fast.energy == path_brute.energy, (n, seed)
             assert path_fast.length == path_brute.length
-            m_bidi, path_bidi = simulator._bidirectional_search(inst)
-            assert m_bidi == m_brute, (n, seed)
+            path_bidi = simulator._bidirectional_search(inst)
+            assert path_bidi.energy == path_brute.energy, (n, seed)
             assert path_bidi.vertices == path_brute.vertices, (n, seed)
 
     @pytest.mark.parametrize("n", range(1, simulator.CSR_MAX_DIMENSION + 1))
     def test_bidirectional_equals_csr(self, n):
         for seed in range(12 if n <= 10 else 4):
             inst = HypercubeInstance(n=n, seed=seed)
-            m_csr, path_csr = simulator._csr_search(inst)
-            m_bidi, path_bidi = simulator._bidirectional_search(inst)
-            assert m_bidi == m_csr, (n, seed)
+            path_csr = simulator._csr_search(inst)
+            path_bidi = simulator._bidirectional_search(inst)
+            assert path_bidi.energy == path_csr.energy, (n, seed)
             assert path_bidi.vertices == path_csr.vertices, (n, seed)
 
     # (m_n, steps) of the compiled CSR engine, which searched every n before
@@ -151,32 +178,34 @@ class TestGroundState:
 
     @pytest.mark.parametrize("n, seed", sorted(FROZEN_CSR))
     def test_reproduces_frozen_csr_results(self, n, seed):
-        m, path = simulator.ground_state(HypercubeInstance(n=n, seed=seed))
-        assert (m, path.steps) == self.FROZEN_CSR[n, seed]
+        path = simulator.ground_state(HypercubeInstance(n=n, seed=seed))
+        assert (path.energy, path.steps) == self.FROZEN_CSR[n, seed]
 
     @given(n=st.integers(min_value=1, max_value=16), seed=st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=60)
     def test_bidirectional_path_properties(self, n, seed):
         inst = HypercubeInstance(n=n, seed=seed)
-        m, path = simulator._bidirectional_search(inst)
+        path = simulator._bidirectional_search(inst)
         assert path.vertices[0] == 0 and path.vertices[-1] == inst.target
         assert path.is_loopless()
         assert path.length >= n and (path.length - n) % 2 == 0
+        assert path.backstep_count == (path.length - n) // 2
         energy = 0.0
         for a, b in zip(path.vertices, path.vertices[1:]):
             assert bin(a ^ b).count("1") == 1
             energy += simulator.edge_weight(inst, a, (a ^ b).bit_length() - 1)
-        assert m == path.energy == energy
-        assert m <= PolymerPath.from_steps(inst, range(1, n + 1)).energy
+        assert path.energy == energy
+        directed = PolymerPath.from_vertices(inst, [(1 << j) - 1 for j in range(n + 1)])
+        assert path.energy <= directed.energy
 
     def test_path_invariants(self):
         for seed in (0, 7, 42):
             inst = HypercubeInstance(n=10, seed=seed)
-            m, path = simulator.ground_state(inst)
+            path = simulator.ground_state(inst)
             assert path.vertices[0] == 0
             assert path.vertices[-1] == inst.target
             assert path.is_loopless()
-            assert m > 0
+            assert path.energy > 0
             assert path.length >= 10 and (path.length - 10) % 2 == 0
             for a, b in zip(path.vertices, path.vertices[1:]):
                 assert bin(a ^ b).count("1") == 1
@@ -185,14 +214,14 @@ class TestGroundState:
         inst = HypercubeInstance(n=12, seed=99)
         first = simulator.ground_state(inst)
         second = simulator.ground_state(inst)
-        assert first[0] == second[0]
-        assert first[1].steps == second[1].steps
+        assert first.energy == second.energy
+        assert first.steps == second.steps
 
     def test_lower_bound_regression_n16(self):
         # tail bound P(m_n <= 0.55) <~ e^x sinh(0.55)^16 is about 1e-4; the
         # observed minimum over seeds 42..61 is frozen at 0.8800098
         values = [
-            simulator.ground_state(HypercubeInstance(n=16, seed=s))[0] for s in range(42, 62)
+            simulator.ground_state(HypercubeInstance(n=16, seed=s)).energy for s in range(42, 62)
         ]
         assert min(values) > 0.55
         assert min(values) == pytest.approx(0.8800098467873847, rel=1e-12)
@@ -205,39 +234,43 @@ class TestBruteForceGroundState:
 
     def test_parity_at_n4(self):
         inst = HypercubeInstance(n=4, seed=11)
-        _, path = simulator.brute_force_ground_state(inst)
+        path = simulator.brute_force_ground_state(inst)
         assert path.length >= 4 and (path.length - 4) % 2 == 0
 
 
 class TestPathStatistics:
     def test_fully_directed_diagonal(self):
         inst = HypercubeInstance(n=5, seed=3)
-        path = PolymerPath.from_steps(inst, [1, 2, 3, 4, 5])
-        stats = simulator.path_statistics(inst, path)
-        assert stats.backstep_count == 0
-        assert stats.normalized_depth_profile == tuple(
-            (j / 5, j / 5) for j in range(1, 6)
-        )
+        path = PolymerPath.from_vertices(inst, [0, 1, 3, 7, 15, 31])
+        record = simulator.path_statistics(inst, path)
+        assert record.backstep_count == 0
+        assert record.backstep_deciles == (0,) * simulator.BACKSTEP_DECILES
+        assert _depths(path, 5) == [(j / 5, j / 5) for j in range(1, 6)]
+        # step j lands in bin int(20 j / 5) (the last step in bin 19) with depth j / 5
+        filled = {4: 0.2, 8: 0.4, 12: 0.6, 16: 0.8, 19: 1.0}
+        for i, mean in enumerate(record.profile_bins):
+            assert mean == filled[i] if i in filled else math.isnan(mean)
 
     def test_backstep_dips_depth(self):
         inst = HypercubeInstance(n=3, seed=3)
-        path = PolymerPath.from_steps(inst, [1, 2, -1, 1, 3])
-        stats = simulator.path_statistics(inst, path)
-        depths = [d for _, d in stats.normalized_depth_profile]
-        assert stats.backstep_count == 1
+        path = PolymerPath.from_vertices(inst, [0, 1, 3, 2, 3, 7])
+        record = simulator.path_statistics(inst, path)
+        depths = [d for _, d in _depths(path, 3)]
+        assert record.backstep_count == 1
         assert depths[2] == depths[1] - 1 / 3  # the backstep lowers depth by 1/n
+        assert record.backstep_deciles[5] == 1  # step 3 of 5: decile int(2.5 / 5 * 10)
 
     def test_first_half_energy(self):
         inst = HypercubeInstance(n=4, seed=5)
-        m, path = simulator.ground_state(inst)
-        stats = simulator.path_statistics(inst, path)
+        path = simulator.ground_state(inst)
+        record = simulator.path_statistics(inst, path)
         half = (path.length + 1) // 2
         expected = sum(
             simulator.edge_weight(inst, a, (a ^ b).bit_length() - 1)
             for a, b in list(zip(path.vertices, path.vertices[1:]))[:half]
         )
-        assert stats.first_half_energy == pytest.approx(expected, rel=1e-12)
-        assert 0.0 < stats.first_half_energy < m
+        assert record.first_half_energy == pytest.approx(expected, rel=1e-12)
+        assert 0.0 < record.first_half_energy < record.m_n == path.energy
 
     def test_profile_deviation_regression_n18(self):
         # mean absolute deviation of measured profiles from the closed-form
@@ -245,12 +278,11 @@ class TestPathStatistics:
         mads = []
         for seed in range(42, 52):
             inst = HypercubeInstance(n=18, seed=seed)
-            _, path = simulator.ground_state(inst)
-            stats = simulator.path_statistics(inst, path)
+            path = simulator.ground_state(inst)
             scale = path.length / (L * 18)
             devs = [
                 abs(depth - math.sinh(a * scale * E) * math.cosh((1 - a) * scale * E))
-                for a, depth in stats.normalized_depth_profile
+                for a, depth in _depths(path, 18)
             ]
             mads.append(sum(devs) / len(devs))
         assert sum(mads) / len(mads) == pytest.approx(0.0602896603, abs=1e-9)
@@ -321,7 +353,10 @@ class TestDirectedOverlapCount:
     }
 
     def test_identity_only_full_overlap(self):
-        assert simulator.directed_overlap_count(2, 2) == 1
+        # only the identity order shares all n edges; sharing n - 1 forces the n-th
+        for n in range(2, 8):
+            table = simulator.directed_overlap_table(n)
+            assert table[n] == 1 and table[n - 1] == 0
 
     def test_frozen_tables(self):
         for n, expected in self.FROZEN.items():
@@ -332,7 +367,7 @@ class TestDirectedOverlapCount:
             assert sum(simulator.directed_overlap_table(n)) == math.factorial(n)
 
     def test_refined_envelope_n5_k1(self):
-        assert simulator.directed_overlap_count(5, 1) <= math.factorial(4) * 2 * 1.5
+        assert simulator.directed_overlap_table(5)[1] <= math.factorial(4) * 2 * 1.5
 
     def test_envelopes_all_n(self):
         for n in range(2, 8):
@@ -342,4 +377,4 @@ class TestDirectedOverlapCount:
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
-            simulator.directed_overlap_count(8, 0)
+            simulator.directed_overlap_table(8)
