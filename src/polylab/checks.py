@@ -1,16 +1,19 @@
-"""Verification criteria, each defined once with its sizes as arguments.
+"""Every claim of the paper that the lab verifies, each defined once with its sizes as arguments.
 
 Every check returns (passed, detail) and stops at the first violation,
 naming it in the detail.  `CHECKS` lists them in the order `polylab verify`
 runs them, with the arguments of `verify --fast` and of the full battery;
-`tests/test_acceptance.py` calls the same functions at its own pinned sizes.
+`tests/test_acceptance.py` runs every check in `CHECKS`, one row each, at its
+own pinned sizes, seeds and runtime budgets.
 """
 
+import itertools
 import math
+import operator
 from typing import Callable, NamedTuple, Sequence
 
 from . import geometry, pathcount, simulator, stochastics
-from .constants import E, constant_identities
+from .constants import E, L, constant_identities
 
 
 def constants() -> tuple[bool, str]:
@@ -93,9 +96,12 @@ def partial_products(ks: Sequence[int]) -> tuple[bool, str]:
     worst = 0.0
     for k in ks:
         cg = geometry.solve_coarse_graining(k)
-        for i in range(1, k + 1):
-            product = geometry.evolution_product(cg, i)
+        # left to right, as evolution_product multiplies
+        factors = (geometry.g_factor(j, k, cg.d[j - 1], cg) for j in range(1, k + 1))
+        for i, product in enumerate(itertools.accumulate(factors, operator.mul), 1):
             worst = max(worst, abs(product - geometry.evolution_closed_form(cg, i)))
+        if product != geometry.evolution_product(cg, k):
+            return False, f"last partial product {product!r} is not evolution_product at K={k}"
         if abs(product - 1.0) > 1e-9:
             return False, f"full product {product!r} at K={k}"
     return worst <= 1e-9, f"max partial-product deviation {worst:.2e}"
@@ -164,6 +170,77 @@ def directed_overlap(n_max: int) -> tuple[bool, str]:
     return True, f"envelopes hold up to n={n_max}"
 
 
+def convergence_trends(n_small: int, n_large: int, trials: int, base_seed: int) -> tuple[bool, str]:
+    """From n_small to n_large on the same seeds, m_n falls and length/n nears L.
+
+    At n_large the first half carries 40-60% of m_n and, at one standard error, the depth
+    profile never falls from bin to bin and the middle decile has the first's backsteps.
+    """
+    _, small = simulator.run_trials(n_small, trials, base_seed=base_seed)
+    _, large = simulator.run_trials(n_large, trials, base_seed=base_seed)
+    means, ses = large.profile_bin_mean, large.profile_bin_se
+    falls = [i for i in range(len(means) - 1) if means[i + 1] + ses[i + 1] < means[i] - ses[i]]  # False on nan
+    backsteps, backstep_ses = large.backstep_decile_mean, large.backstep_decile_se
+    for holds, clause in (
+        (large.mean_m_n < small.mean_m_n, f"mean m_n does not fall from n={n_small} to n={n_large}"),
+        (large.mean_m_n > 0.75 * E and small.mean_m_n > 0.75 * E, "mean m_n not above 0.75 E"),
+        (abs(large.mean_length_ratio - L) < abs(small.mean_length_ratio - L), "length/n does not near L"),
+        (1.0 <= large.mean_length_ratio <= 1.5, f"length/n {large.mean_length_ratio:.4f} outside [1, 1.5]"),
+        (0.4 <= large.mean_first_half_fraction <= 0.6, "first-half energy fraction outside [0.4, 0.6]"),
+        (not falls, f"depth profile falls after bins {falls}"),
+        (backsteps[5] + backstep_ses[5] >= backsteps[0] - backstep_ses[0], "middle decile has fewer backsteps"),
+    ):
+        if not holds:
+            return False, clause
+    return True, f"mean m_n {small.mean_m_n:.4f} -> {large.mean_m_n:.4f} from n={n_small} to n={n_large}"
+
+
+def length_concentration(ns: Sequence[int], eps: float, a: float) -> tuple[bool, str]:
+    """The length weight at x = E peaks within 2 of L n; outside |l/n - L| < a eps it has
+    no lower tail (none exists when L - a eps < 1) and an upper tail that shrinks with n."""
+    tails = []
+    for n in ns:
+        peak = pathcount.length_weight_distribution(n, 3 * n).argmax_length
+        if abs(peak - round(L * n)) > 2:
+            return False, f"length weight peaks at l={peak} for n={n}, L n = {L * n:.2f}"
+        lower, upper = pathcount.concentration_tail_mass(n, eps, a)
+        if lower != 0.0:
+            return False, f"lower tail {lower:.3e} at n={n}"
+        tails.append((n, upper))
+    # with every lower tail 0, the total tail shrinks exactly when the upper one does
+    for (n0, up0), (n1, up1) in itertools.pairwise(tails):
+        if not up1 < up0:
+            return False, f"tail does not shrink from n={n0} to n={n1}"
+    return True, f"peaks within 2 of L n, upper tail {tails[0][1]:.3e} -> {tails[-1][1]:.3e}"
+
+
+def shift_inequality(cells: Sequence[tuple[int, int, float, float]]) -> tuple[bool, str]:
+    """P(both <= a+b) <= C P(both <= a) (1 + b/a)^{2l-k} on each (l, k, a, b) cell.
+
+    C = 10 is a generous stand-in for the paper's unspecified order-one constant.
+    """
+    worst = 0.0
+    for l, k, a, b in cells:
+        ratio = stochastics.shift_ratio(l, k, a, b)
+        if not ratio <= 10.0:
+            return False, f"ratio {ratio:.4f} above 10 at (l={l}, k={k}, a={a}, b={b})"
+        worst = max(worst, ratio)
+    return True, f"max ratio {worst:.4f} <= 10 on {len(cells)} cells"
+
+
+def substrand_identities(ks: Sequence[int]) -> tuple[bool, str]:
+    """The four closed forms of every interior slab's step fractions agree within 1e-10."""
+    worst = 0.0
+    for k in ks:
+        cg = geometry.solve_coarse_graining(k)
+        for j in range(2, k):
+            for name, (lhs, rhs) in geometry.substrand_identities(cg, j).items():
+                if not abs(lhs - rhs) <= 1e-10:
+                    return False, f"{name} off by {abs(lhs - rhs):.2e} at K={k}, slab {j}"
+                worst = max(worst, abs(lhs - rhs))
+    return True, f"max deviation {worst:.2e} for K in {tuple(ks)}"
+
+
 class Check(NamedTuple):
     name: str
     run: Callable[..., tuple[bool, str]]
@@ -172,6 +249,7 @@ class Check(NamedTuple):
 
 
 _ALL_K = tuple(range(1, 65))
+_SHIFT_ARGS = (((4, 2, 1.0, 0.5), (3, 3, 1.0, 1.0), (6, 1, 0.5, 0.1)),)
 CHECKS = (
     Check("constants", constants, (), ()),
     Check("stanley_oracle", stanley_oracle, (3, 6), (4, 8)),
@@ -187,4 +265,8 @@ CHECKS = (
           (((3, 1, 1.0, 97), (4, 2, 1.0, 97), (6, 3, 1.5, 97), (5, 0, 1.0, 97)), 10**5)),
     Check("simulator_oracle", simulator_oracle, (3, 5), (4, 25)),
     Check("directed_overlap", directed_overlap, (6,), (7,)),
+    Check("convergence_trends", convergence_trends, (6, 10, 50, 42), (6, 10, 50, 42)),
+    Check("length_concentration", length_concentration, ((40, 80), 0.2, 2.5), ((40, 80), 0.2, 2.5)),
+    Check("shift_inequality", shift_inequality, _SHIFT_ARGS, _SHIFT_ARGS),
+    Check("substrand_identities", substrand_identities, ((4, 8, 16),), ((4, 8, 16),)),
 )

@@ -53,7 +53,11 @@ def _write(args, payload: dict, header=None, rows=None) -> None:
     if args.out is None or args.out == "-":
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
 
 
@@ -165,8 +169,8 @@ def _cmd_identity(args) -> int:
 def _cmd_geometry(args) -> int:
     if args.K < 1:
         raise UsageError(f"--K must be >= 1, got {args.K}")
-    if args.m is not None and 2 * args.m >= args.K:
-        raise UsageError(f"--m must satisfy 2m < K (got m={args.m}, K={args.K})")
+    if args.m is not None and not 0 <= 2 * args.m < args.K:
+        raise UsageError(f"--m must satisfy 0 <= 2m < K (got m={args.m}, K={args.K})")
     cg = geometry.solve_coarse_graining(args.K)
     full_product = geometry.evolution_product(cg, args.K)
     payload = {

@@ -12,6 +12,7 @@ length-weight distribution at x = E (which has total mass sinh(E)^n = 1),
 and the exact tail sums behind the length concentration statement.
 """
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -29,12 +30,13 @@ def _require_distance(n: int, d: int) -> None:
         raise ValueError(f"Hamming distance must satisfy 0 <= d <= n, got d={d}, n={n}")
 
 
-def _eigen_weights(n: int, d: int) -> list[int]:
-    """Krawtchouk weights K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) for i = 0..n."""
-    return [
+@functools.lru_cache(maxsize=128)
+def _eigen_weights(n: int, d: int) -> tuple[int, ...]:
+    """Krawtchouk weights K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) for i = 0..n, cached per (n, d)."""
+    return tuple(
         sum((-1) ** j * comb(d, j) * comb(n - d, i - j) for j in range(min(d, i) + 1))
         for i in range(n + 1)
-    ]
+    )
 
 
 def _divide_exact(total: int, n: int, l: int, d: int) -> int:
@@ -153,18 +155,6 @@ def log_m_bound(n: int, l: int, d: int, x: float) -> float:
         + math.lgamma(l + 1)
         - l * math.log(x)
     )
-
-
-def m_bound(n: int, l: int, d: int, x: float) -> float:
-    """Generating-function upper bound on M(n,l,d), valid for every finite x > 0.
-
-    Raises OverflowError when the bound exceeds the float range (the log-space
-    value is still available via log_m_bound).
-    """
-    log_value = log_m_bound(n, l, d, x)
-    if log_value > math.log(1.7976931348623157e308):
-        raise OverflowError(f"m_bound exceeds float range (log={log_value:.3f})")
-    return math.exp(log_value)
 
 
 def solve_length_ratio(ratio: float) -> float:

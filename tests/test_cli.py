@@ -150,6 +150,14 @@ class TestSimulate:
         assert lines[0].split(",")[:7] == ["n", "seed", "trial", "m_n", "length", "backsteps", "e_first_half"]
         assert len(lines) == 3
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--n", "4", "--trials", "1", "--seed", "0", "--out", str(out_file)])
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == "" and stderr.count("\n") == 1 and "Traceback" not in stderr
+
     def test_csv_round_trip_floats(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--n", "5", "--trials", "3", "--seed", "3", "--format", "csv")
         assert code == 0
@@ -194,6 +202,7 @@ class TestSimulate:
         ["analyze", "--grid-step", "1e-3", "--lopt", "2"],
         ["analyze", "--grid-step", "1e-3", "--lopt", "1"],
         ["analyze", "--grid-step", "1e-3", "--lopt", "nan"],
+        ["geometry", "--K", "8", "--m", "-1"],
     ],
 )
 def test_usage_error_exits_2(argv, capsys):

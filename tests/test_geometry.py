@@ -283,15 +283,6 @@ class TestVerifyScalarClaims:
             geometry.verify_scalar_claims(5e-3)
 
 
-class TestSubstrandIdentities:
-    @pytest.mark.parametrize("K", (4, 8, 16))
-    def test_four_equivalent_forms(self, K):
-        cg = geometry.solve_coarse_graining(K)
-        for j in range(2, K):
-            for name, (lhs, rhs) in geometry.substrand_identities(cg, j).items():
-                assert abs(lhs - rhs) <= 1e-10, (K, j, name)
-
-
 class TestDepthLengthProximity:
     def test_report_scaled_deviation(self, capsys):
         # d_i tracks a_i * L up to a 1/K^2-scale error; the K^2-scaled maximum
