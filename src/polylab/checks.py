@@ -149,12 +149,12 @@ def overlap_mc(cells: Sequence[tuple[int, int, float, int]], trials: int) -> tup
 
 
 def simulator_oracle(n_max: int, seeds: int) -> tuple[bool, str]:
-    """Both Dijkstra engines equal the exhaustive oracle and return loopless paths."""
+    """`ground_state` and the ball search equal the exhaustive oracle and return loopless paths."""
     for n in range(1, n_max + 1):
         for seed in range(seeds):
             inst = simulator.HypercubeInstance(n=n, seed=seed)
             m_brute = simulator.brute_force_ground_state(inst).energy
-            for path in (simulator.ground_state(inst), simulator._bidirectional_search(inst)):
+            for path in (simulator.ground_state(inst), simulator._ball_search(inst)):
                 if path.energy != m_brute:
                     return False, f"oracle mismatch at (n={n}, seed={seed})"
                 if not path.is_loopless():

@@ -43,34 +43,17 @@ def exponential(seed: int, a: int, b: int) -> float:
     return -math.log(uniform01(seed, a, b))
 
 
-_B_TERMS = tuple(((b + 1) * _KEY_B) & _MASK64 for b in range(64))
+def mix64_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
+    """Vectorized mix64 over a uint64 array of first keys.
 
-
-def vertex_exponentials(seed: int, vertex: int, n: int) -> list[float]:
-    """The n edge weights at `vertex`: entry d is exponential(seed, vertex & ~(1 << d), d).
-
-    Same arithmetic as `exponential`, inlined into one loop over the
-    dimensions; valid for 0 <= vertex < 2^64 and n <= 64.
+    The second key is one int for every entry, or a uint64 array of a's shape.
     """
-    seed &= _MASK64
-    log = math.log
-    out = []
-    for d in range(n):
-        z = seed ^ (((vertex & ~(1 << d)) * _KEY_A) & _MASK64) ^ _B_TERMS[d]
-        z ^= z >> 30
-        z = (z * _MIX_1) & _MASK64
-        z ^= z >> 27
-        z = (z * _MIX_2) & _MASK64
-        z ^= z >> 31
-        u = (z + 0.5) * 2.0**-64
-        out.append(-log(u if u < 1.0 else _U_MAX))
-    return out
-
-
-def mix64_array(seed: int, a: np.ndarray, b: int) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array of first keys (fixed second key)."""
+    if isinstance(b, np.ndarray):
+        b_term = (b.astype(np.uint64, copy=False) + np.uint64(1)) * np.uint64(_KEY_B)
+    else:
+        b_term = np.uint64(((b + 1) * _KEY_B) & _MASK64)
     z = np.uint64(seed) ^ (a.astype(np.uint64) * np.uint64(_KEY_A))
-    z = z ^ np.uint64(((b + 1) * _KEY_B) & _MASK64)
+    z = z ^ b_term
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX_1)
     z = z ^ (z >> np.uint64(27))
@@ -79,10 +62,10 @@ def mix64_array(seed: int, a: np.ndarray, b: int) -> np.ndarray:
     return z
 
 
-def uniform01_array(seed: int, a: np.ndarray, b: int) -> np.ndarray:
+def uniform01_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
     u = (mix64_array(seed, a, b).astype(np.float64) + 0.5) * 2.0**-64
     return np.minimum(u, _U_MAX, out=u)
 
 
-def exponential_array(seed: int, a: np.ndarray, b: int) -> np.ndarray:
+def exponential_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
     return -np.log(uniform01_array(seed, a, b))

@@ -5,8 +5,9 @@ positive, reproducible Exp(1) weight to every edge through a splittable
 counter-based generator, so an instance is fully determined by (n, seed).
 Ground states are exact shortest paths from the all-zeros to the all-ones
 vertex: compiled sparse Dijkstra over the materialized weight table for
-n <= CSR_MAX_DIMENSION, and above it a bidirectional Dijkstra that draws
-weights on demand and keeps state only for the two balls it explores.
+n <= CSR_MAX_DIMENSION, and above it a bidirectional ball search that grows
+a ball around each corner in vectorized Delta-stepping rounds, draws the
+weights of the edges it relaxes, and keeps state only for the two balls.
 Every engine returns one `PolymerPath`, built once from its vertex sequence:
 the constructor checks the walk and reads each step's edge weight, and the
 energy m_n, the steps and the backsteps are read off it.  `path_statistics`
@@ -20,7 +21,6 @@ directed paths.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import permutations
 from math import comb, factorial
 
@@ -31,10 +31,11 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from . import prng
 
 MAX_DIMENSION = 26
-# Largest n searched by compiled CSR Dijkstra; above it the bidirectional
-# search is faster (mean ms per trial over seeds 0-7 on a 2-vCPU x86 host,
-# CSR vs bidirectional: 20 vs 31 at n=14, 50 vs 37 at n=15, 86 vs 44 at n=16).
-CSR_MAX_DIMENSION = 14
+# Largest n searched by compiled CSR Dijkstra; above it the ball search is
+# faster (mean ms per search over seeds 0-7, best of 3, on a 2-vCPU x86 host,
+# CSR vs ball search: 4.5 vs 5.7 at n=12, 10.8 vs 4.8 at n=13, 20.8 vs 8.4
+# at n=14, 58 vs 8.3 at n=15, 126 vs 11.5 at n=16).
+CSR_MAX_DIMENSION = 12
 
 PROFILE_BINS = 20
 BACKSTEP_DECILES = 10
@@ -80,12 +81,10 @@ def edge_weight(instance: HypercubeInstance, vertex: int, dim: int) -> float:
 def weight_table(instance: HypercubeInstance) -> np.ndarray:
     """All edge weights as a (2^n, n) array; entry [v, d] = edge_weight(v, d)."""
     n = instance.n
-    vertices = np.arange(instance.num_vertices, dtype=np.uint64)
-    table = np.empty((instance.num_vertices, n))
-    for dim in range(n):
-        canonical = vertices & np.uint64(~(1 << dim) & 0xFFFFFFFFFFFFFFFF)
-        table[:, dim] = prng.exponential_array(instance.seed, canonical, dim)
-    return table
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    canonical = (np.arange(instance.num_vertices, dtype=np.int64)[:, None] & ~bits).ravel()
+    dims = np.tile(np.arange(n, dtype=np.uint64), instance.num_vertices)
+    return prng.exponential_array(instance.seed, canonical, dims).reshape(instance.num_vertices, n)
 
 
 @dataclass(frozen=True)
@@ -157,51 +156,187 @@ def _csr_search(instance: HypercubeInstance) -> PolymerPath:
     return PolymerPath.from_vertices(instance, vertices)
 
 
-def _bidirectional_search(instance: HypercubeInstance) -> PolymerPath:
-    """Bidirectional Dijkstra (Pohl 1971) with lazily generated edge weights.
+def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each key in the sorted `ids` (any index where absent), and whether it is present."""
+    pos = np.minimum(np.searchsorted(ids, keys), len(ids) - 1)
+    return pos, ids[pos] == keys
 
-    Grows one ball from 0 and one from the target, always expanding the side
-    with the smaller heap, and records the cheapest meeting cost `mu` each
-    time a label improves at a vertex the other side has labelled.  It stops
-    once the two heap tops sum to at least `mu`: no unsettled vertex can then
-    lie on a cheaper path.  State lives in dicts sized by the two balls.
-    Positive weights and strict-improvement updates mean a settled vertex is
-    never relabelled, so heap entries whose key exceeds the label are stale.
+
+def _joined(parts: list[tuple]) -> tuple:
+    """Concatenate a list of equally long tuples of arrays, entry by entry."""
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+# Frontier vertices relaxed at once: bounds the temporaries of a round
+# (about a dozen arrays of block * n entries) whatever the frontier size.
+_RELAX_BLOCK = 1 << 13
+
+
+class _BallSearch:
+    """Grows a ball around each corner until the cheapest edge between them is certified.
+
+    Both balls share sorted arrays keyed by side << n | vertex, side 0 for
+    the ball around 0 and side 1 for the ball around the target: `keys`,
+    `dist` (exact distance from the side's corner) and `pred` (the key of
+    the previous vertex, -1 at a corner).  `pending[side]` lists (key, dist,
+    pred) arrays of the labels found beyond that ball's radius; a key may
+    repeat, and a key the ball has since labelled is stale.
+
+    The balls grow by Delta-stepping (Meyer & Sanders 2003).  A phase raises
+    the radius of the smaller ball (of both when they are equal) so that as
+    many pending labels join as the ball holds, then runs label-correcting
+    rounds until no label within a radius falls.  Every relaxed edge that
+    reaches the other ball closes a corner-to-corner walk, and `upper` is
+    the cheapest one seen.  Once radius_0 + radius_1 >= upper, upper = m_n:
+    the optimal path leaves ball 0 along an edge into ball 1, and that edge
+    was relaxed from whichever endpoint was labelled last, with both labels
+    exact.  So no label of side s above upper - (the other radius as the
+    phase began) is ever needed; such labels are dropped.
     """
-    n = instance.n
-    seed = instance.seed
-    dist = ({0: 0.0}, {instance.target: 0.0})
-    pred = ({0: -1}, {instance.target: -1})
-    heaps = ([(0.0, 0)], [(0.0, instance.target)])
-    mu = math.inf
-    meet = -1
-    while heaps[0] and heaps[1] and heaps[0][0][0] + heaps[1][0][0] < mu:
-        side = 0 if len(heaps[0]) <= len(heaps[1]) else 1
-        heap, own, own_pred, other = heaps[side], dist[side], pred[side], dist[1 - side]
-        d_u, u = heappop(heap)
-        if d_u > own[u]:
-            continue
-        for dim, w in enumerate(prng.vertex_exponentials(seed, u, n)):
-            v = u ^ (1 << dim)
-            cand = d_u + w
-            if cand < own.get(v, math.inf):
-                own[v] = cand
-                own_pred[v] = u
-                heappush(heap, (cand, v))
-                if v in other and cand + other[v] < mu:
-                    mu = cand + other[v]
-                    meet = v
-    vertices = []
-    v = meet
-    while v >= 0:
-        vertices.append(v)
-        v = pred[0][v]
-    vertices.reverse()
-    v = pred[1][meet]
-    while v >= 0:
-        vertices.append(v)
-        v = pred[1][v]
-    return PolymerPath.from_vertices(instance, vertices)
+
+    def __init__(self, instance: HypercubeInstance):
+        n = instance.n
+        self.n = n
+        self.seed = instance.seed
+        self.side_bit = 1 << n
+        self.bits = np.int64(1) << np.arange(n, dtype=np.int64)
+        # an edge's second prng key, its dimension, frontier vertex by vertex
+        self.dim_cycle = np.tile(np.arange(n, dtype=np.uint64), min(_RELAX_BLOCK, instance.num_vertices))
+        self.keys = np.array([0, self.side_bit | instance.target], dtype=np.int64)
+        self.dist = np.zeros(2)
+        self.pred = np.full(2, -1, dtype=np.int64)
+        self.radii = np.zeros(2)
+        self.other_radii = np.zeros(2)  # radii[::-1] as the phase began
+        self.pending = [[], []]
+        self.upper = math.inf
+        self.meet = (-1, -1)  # the keys of the cheapest edge's endpoints, one in each ball
+
+    def vertices(self) -> list[int]:
+        self._settle(self.keys, self.dist)
+        while not self._certified():
+            self._grow()
+        key_0, key_1 = sorted(self.meet)
+        return self._chain(key_0)[::-1] + self._chain(key_1)
+
+    def _certified(self) -> bool:
+        """radius_0 + radius_1 >= upper, compared the way _grow computes a cap,
+        so that a ball grown to its cap ends the search despite rounding."""
+        radius_0, radius_1 = self.radii.tolist()
+        return self.upper - radius_1 <= radius_0 or self.upper - radius_0 <= radius_1
+
+    def _chain(self, key: int) -> list[int]:
+        """The vertices from the key's vertex back to its ball's corner."""
+        out = []
+        while key >= 0:
+            out.append(key & (self.side_bit - 1))
+            key = int(self.pred[np.searchsorted(self.keys, key)])
+        return out
+
+    def _grow(self) -> None:
+        """One phase: the smaller ball (both when equal) takes as many live pending labels as it holds."""
+        self.other_radii = self.radii[::-1].copy()
+        caps = self.upper - self.other_radii
+        size_1 = len(self.keys) - int(np.searchsorted(self.keys, self.side_bit))
+        sizes = (len(self.keys) - size_1, size_1)
+        joining = []
+        for side in (0, 1):
+            k = sizes[side]
+            if k > sizes[1 - side]:
+                continue
+            keys, dist, pred = _joined(self.pending[side])
+            _, stale = _lookup(self.keys, keys)
+            live = ~stale & (dist <= caps[side])
+            keys, dist, pred = keys[live], dist[live], pred[live]
+            if len(dist) > k:
+                self.radii[side] = np.partition(dist, k - 1)[k - 1]
+            elif math.isfinite(caps[side]) or not len(dist):  # every useful label joins: go to the cap
+                self.radii[side] = caps[side]
+            else:
+                self.radii[side] = dist.max()
+            join = dist <= self.radii[side]
+            self.pending[side] = [(keys[~join], dist[~join], pred[~join])]
+            joining.append((keys[join], dist[join], pred[join]))
+        self._settle(*self._lower(*_joined(joining)))
+
+    def _settle(self, keys: np.ndarray, dist: np.ndarray) -> None:
+        """Label-correcting rounds from the given frontier until no label within a radius falls."""
+        while len(keys):
+            found = [
+                self._relax(keys[i : i + _RELAX_BLOCK], dist[i : i + _RELAX_BLOCK])
+                for i in range(0, len(keys), _RELAX_BLOCK)
+            ]
+            keys, dist = self._lower(*_joined(found))
+
+    def _relax(self, frontier: np.ndarray, frontier_dist: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Relax the n edges at each vertex of the sorted frontier; return the labels within a radius.
+
+        Records the walks that reach the other ball in `upper` and keeps the
+        labels beyond the radius pending.
+        """
+        keys = (frontier[:, None] ^ self.bits).ravel()
+        pred = np.repeat(frontier, self.n)
+        lower_end = keys & pred & (self.side_bit - 1)  # the edge's first prng key
+        dist = np.repeat(frontier_dist, self.n) + prng.exponential_array(
+            self.seed, lower_end, self.dim_cycle[: len(keys)]
+        )
+        pos, hit = _lookup(self.keys, keys ^ self.side_bit)
+        total = np.where(hit, dist + self.dist[pos], math.inf)
+        i = int(total.argmin())
+        if total[i] < self.upper:
+            self.upper = float(total[i])
+            self.meet = (int(pred[i]), int(keys[i] ^ self.side_bit))
+        first_side, last_side = int(frontier[0]) >> self.n, int(frontier[-1]) >> self.n
+        one_ball = first_side == last_side
+        side = first_side if one_ball else keys >> self.n
+        useful = dist <= (self.upper - self.other_radii)[side]
+        beyond = useful & (dist > self.radii[side])
+        out = keys[beyond], dist[beyond], pred[beyond]
+        if one_ball:
+            self.pending[side].append(out)
+        else:  # side-0 entries come first
+            cut = int(np.count_nonzero(beyond[: int(np.searchsorted(frontier, self.side_bit)) * self.n]))
+            self.pending[0].append(tuple(a[:cut] for a in out))
+            self.pending[1].append(tuple(a[cut:] for a in out))
+        within = useful & ~beyond
+        return keys[within], dist[within], pred[within]
+
+    def _lower(self, keys: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store each key's cheapest candidate label where it beats the stored one; return those keys and labels."""
+        if not len(keys):
+            return keys, dist
+        order = np.lexsort((dist, keys))  # stable: a tie keeps the first candidate
+        keys, dist, pred = keys[order], dist[order], pred[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        pick = np.flatnonzero(first)
+        pos, known = _lookup(self.keys, keys[pick])
+        better = ~known | (dist[pick] < self.dist[pos])
+        pick, pos, known = pick[better], pos[better], known[better]
+        keys, dist, pred = keys[pick], dist[pick], pred[pick]
+        if known.any():
+            self.dist[pos[known]] = dist[known]
+            self.pred[pos[known]] = pred[known]
+        new = ~known
+        at = np.searchsorted(self.keys, keys[new]) + np.arange(np.count_nonzero(new))  # places after the merge
+        old = np.ones(len(self.keys) + len(at), dtype=bool)
+        old[at] = False
+        self.keys, self.dist, self.pred = (
+            _merged(stored, old, at, values[new])
+            for stored, values in ((self.keys, keys), (self.dist, dist), (self.pred, pred))
+        )
+        return keys, dist
+
+
+def _merged(stored: np.ndarray, old: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`stored` at the positions flagged in `old`, `values` at the positions `at`."""
+    out = np.empty(len(old), dtype=stored.dtype)
+    out[old] = stored
+    out[at] = values
+    return out
+
+
+def _ball_search(instance: HypercubeInstance) -> PolymerPath:
+    return PolymerPath.from_vertices(instance, _BallSearch(instance).vertices())
 
 
 def ground_state(instance: HypercubeInstance) -> PolymerPath:
@@ -209,18 +344,22 @@ def ground_state(instance: HypercubeInstance) -> PolymerPath:
 
     The engine follows from n alone.  Up to CSR_MAX_DIMENSION, compiled
     sparse Dijkstra over the full weight table is fastest: its per-trial
-    cost is small and most of it runs in compiled code.  Above
-    it, a bidirectional Dijkstra settles only two small balls around the
-    endpoints (radius about m_n / 2 ~ 0.44) with weights drawn on demand,
-    so its time and memory scale with those balls, not with 2^n.  Both
-    find the same minimizer, and its energy is the path-order weight sum,
-    which both engines and the exhaustive oracle reproduce bit-for-bit.
+    cost is small and most of it runs in compiled code.  Above it, the
+    ball search labels only two small balls around the corners (radii
+    summing to m_n ~ 0.9), relaxing a whole frontier per numpy round with
+    weights drawn on demand, so its time and memory scale with those balls,
+    not with 2^n: a fresh `simulate --trials 1` process at n = 20/22/24/26
+    takes about 0.9/1.2/1.5/1.8 s and peaks at 86/108/129/144 MiB on a
+    2-vCPU x86 host, of which about 0.8 s and 80 MiB are the numpy and
+    scipy imports.  Both engines find the same minimizer, and its energy is
+    the path-order weight sum, which both engines and the exhaustive oracle
+    reproduce bit-for-bit.
     Any vertex repeat could be spliced out for a cheaper path, so
     minimizers are loopless.
     """
     if instance.n <= CSR_MAX_DIMENSION:
         return _csr_search(instance)
-    return _bidirectional_search(instance)
+    return _ball_search(instance)
 
 
 def brute_force_ground_state(instance: HypercubeInstance) -> PolymerPath:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polylab
 from polylab import checks, cli, simulator
 
 
@@ -173,6 +178,20 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", "--n", "1", "--trials", "1", "--seed", seed)
         assert code == 0
         assert json.loads(out)["trials"][0]["m_n"] > 0.0
+
+    def test_n24_peak_memory(self):
+        # a fresh process peaked at 129 MiB, numpy and scipy imports included,
+        # on a 2-vCPU x86 host; the bound is 1.5x that
+        src = str(Path(polylab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = (
+            "import resource, sys; from polylab.cli import main; status = main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(status)"
+        )
+        argv = [sys.executable, "-c", code, "simulate", "--n", "24", "--trials", "1", "--seed", "0"]
+        proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300)
+        assert proc.returncode == 0
+        assert int(proc.stderr.split()[-1]) / 1024 < 1.5 * 129  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.parametrize(

@@ -43,12 +43,14 @@ class TestEdgeWeight:
             for dim in range(6):
                 assert table[vertex, dim] == simulator.edge_weight(inst, vertex, dim)
 
-    def test_vertex_exponentials_match_scalar(self):
+    def test_array_second_keys_match_scalar(self):
+        dims = np.arange(26, dtype=np.uint64)
         for seed in (0, 77, 2**64 - 1):
             inst = HypercubeInstance(n=26, seed=seed)
             for vertex in (0, 0b101101, 2**26 - 1):
+                keys = np.array([vertex & ~(1 << d) for d in range(26)], dtype=np.uint64)
                 expected = [simulator.edge_weight(inst, vertex, d) for d in range(26)]
-                assert simulator.prng.vertex_exponentials(seed, vertex, 26) == expected
+                assert simulator.prng.exponential_array(seed, keys, dims).tolist() == expected
 
     def test_positive_where_the_uniform_rounds_to_one(self):
         # mix64(seed, 0, 0) = 2^64 - 1, so (mix64 + 0.5) * 2^-64 rounds to 1.0
@@ -56,8 +58,9 @@ class TestEdgeWeight:
         assert simulator.prng.mix64(seed, 0, 0) == 2**64 - 1
         inst = HypercubeInstance(n=1, seed=seed)
         assert simulator.edge_weight(inst, 0, 0) > 0.0
-        assert simulator.prng.exponential_array(seed, np.array([0], dtype=np.uint64), 0)[0] > 0.0
-        assert simulator.prng.vertex_exponentials(seed, 0, 1)[0] > 0.0
+        zero = np.array([0], dtype=np.uint64)
+        assert simulator.prng.exponential_array(seed, zero, 0)[0] > 0.0
+        assert simulator.prng.exponential_array(seed, zero, zero)[0] > 0.0
         assert simulator.ground_state(inst).energy > 0.0
 
     def test_rejects_bad_dim(self):
@@ -143,16 +146,16 @@ class TestGroundState:
             path_brute = simulator.brute_force_ground_state(inst)
             assert path_fast.energy == path_brute.energy, (n, seed)
             assert path_fast.length == path_brute.length
-            path_bidi = simulator._bidirectional_search(inst)
+            path_bidi = simulator._ball_search(inst)
             assert path_bidi.energy == path_brute.energy, (n, seed)
             assert path_bidi.vertices == path_brute.vertices, (n, seed)
 
-    @pytest.mark.parametrize("n", range(1, simulator.CSR_MAX_DIMENSION + 1))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_bidirectional_equals_csr(self, n):
         for seed in range(12 if n <= 10 else 4):
             inst = HypercubeInstance(n=n, seed=seed)
             path_csr = simulator._csr_search(inst)
-            path_bidi = simulator._bidirectional_search(inst)
+            path_bidi = simulator._ball_search(inst)
             assert path_bidi.energy == path_csr.energy, (n, seed)
             assert path_bidi.vertices == path_csr.vertices, (n, seed)
 
@@ -181,11 +184,24 @@ class TestGroundState:
         path = simulator.ground_state(HypercubeInstance(n=n, seed=seed))
         assert (path.energy, path.steps) == self.FROZEN_CSR[n, seed]
 
+    # (m_n, steps) of the per-vertex bidirectional Dijkstra that searched
+    # above CSR_MAX_DIMENSION before the ball search replaced it
+    FROZEN_LARGE_N = {
+        (22, 0): (0.9447123743635504, (7, 21, 8, 2, 5, 10, 12, 3, 17, 1, 16, 15, 11, -21, -1, -12, 6, 20, 22, 4, 14, 9, 12, 18, 13, 19, 1, 21)),
+        (22, 1): (0.9572737362605465, (12, 4, 1, 21, 7, -12, 17, 22, 10, 19, 2, 20, 11, 3, -20, 15, 9, 18, 5, 14, 12, 16, 20, 6, 13, 8)),
+        (24, 0): (0.9859858784519503, (8, 15, 6, 10, 18, 20, 24, 7, 9, -24, 12, 21, 16, 5, 24, -12, -16, -21, 23, 16, -7, 11, 3, 22, 17, 21, 19, 2, -24, 14, 1, 12, 7, 13, 4, 24)),
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(FROZEN_LARGE_N))
+    def test_reproduces_frozen_large_n_results(self, n, seed):
+        path = simulator.ground_state(HypercubeInstance(n=n, seed=seed))
+        assert (path.energy, path.steps) == self.FROZEN_LARGE_N[n, seed]
+
     @given(n=st.integers(min_value=1, max_value=16), seed=st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=60)
     def test_bidirectional_path_properties(self, n, seed):
         inst = HypercubeInstance(n=n, seed=seed)
-        path = simulator._bidirectional_search(inst)
+        path = simulator._ball_search(inst)
         assert path.vertices[0] == 0 and path.vertices[-1] == inst.target
         assert path.is_loopless()
         assert path.length >= n and (path.length - n) % 2 == 0
