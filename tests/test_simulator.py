@@ -185,11 +185,13 @@ class TestGroundState:
         assert (path.energy, path.steps) == self.FROZEN_CSR[n, seed]
 
     # (m_n, steps) of the per-vertex bidirectional Dijkstra that searched
-    # above CSR_MAX_DIMENSION before the ball search replaced it
+    # above CSR_MAX_DIMENSION before the ball search replaced it; (26, 0),
+    # out of that engine's reach, is from the first ball search
     FROZEN_LARGE_N = {
         (22, 0): (0.9447123743635504, (7, 21, 8, 2, 5, 10, 12, 3, 17, 1, 16, 15, 11, -21, -1, -12, 6, 20, 22, 4, 14, 9, 12, 18, 13, 19, 1, 21)),
         (22, 1): (0.9572737362605465, (12, 4, 1, 21, 7, -12, 17, 22, 10, 19, 2, 20, 11, 3, -20, 15, 9, 18, 5, 14, 12, 16, 20, 6, 13, 8)),
         (24, 0): (0.9859858784519503, (8, 15, 6, 10, 18, 20, 24, 7, 9, -24, 12, 21, 16, 5, 24, -12, -16, -21, 23, 16, -7, 11, 3, 22, 17, 21, 19, 2, -24, 14, 1, 12, 7, 13, 4, 24)),
+        (26, 0): (1.0264993931719888, (7, 21, 8, 2, 5, 10, 12, 3, 17, 1, 16, 22, 19, 14, 26, 25, -12, 9, 23, 13, 15, 6, 11, 12, -22, 24, 4, 22, 20, 18)),
     }
 
     @pytest.mark.parametrize("n, seed", sorted(FROZEN_LARGE_N))
