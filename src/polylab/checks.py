@@ -38,7 +38,8 @@ def identity_residuals(n_values: Sequence[int]) -> tuple[bool, str]:
         for d in (0, n // 2, n):
             for x in (0.5, E, 1.5):
                 r = pathcount.identity_residual(n, d, x, 80)
-                if r > pathcount.identity_remainder_bound(n, x, 80) + 1e-10:
+                bound = pathcount.identity_remainder_bound(n, x, 80)
+                if not pathcount.identity_within_tolerance(n, d, x, r, bound):
                     return False, f"residual {r:.2e} at (n={n}, d={d}, x={x})"
                 worst = max(worst, r)
     return True, f"max residual {worst:.2e}"
@@ -86,7 +87,7 @@ def product_criterion(ks: Sequence[int]) -> tuple[bool, str]:
                 if not geometry.f_function(cg, dvec) < 1.0:
                     return False, f"perturbation not below 1 at K={k}, slab {j + 1}"
         for j in range(2, k):
-            if abs(geometry.optimal_d_closed_form(j, k, cg) - cg.d[j - 1]) > 1e-10:
+            if abs(geometry.optimal_d_closed_form(j, cg) - cg.d[j - 1]) > 1e-10:
                 return False, f"closed form mismatch at K={k}, slab {j}"
     return True, f"optimum at 1, perturbations below 1 for K in {ks}"
 
@@ -97,7 +98,7 @@ def partial_products(ks: Sequence[int]) -> tuple[bool, str]:
     for k in ks:
         cg = geometry.solve_coarse_graining(k)
         # left to right, as evolution_product multiplies
-        factors = (geometry.g_factor(j, k, cg.d[j - 1], cg) for j in range(1, k + 1))
+        factors = (geometry.g_factor(j, cg.d[j - 1], cg) for j in range(1, k + 1))
         for i, product in enumerate(itertools.accumulate(factors, operator.mul), 1):
             worst = max(worst, abs(product - geometry.evolution_closed_form(cg, i)))
         if product != geometry.evolution_product(cg, k):

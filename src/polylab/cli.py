@@ -151,8 +151,6 @@ def _cmd_identity(args) -> int:
     _require_positive_x(args.x)
     residual = pathcount.identity_residual(args.n, args.d, args.x, args.lmax)
     bound = pathcount.identity_remainder_bound(args.n, args.x, args.lmax)
-    # identity_residual's float rounding is of order 1e-13 relative to its target
-    target = math.sinh(args.x) ** args.d * math.cosh(args.x) ** (args.n - args.d)
     payload = {
         "n": args.n,
         "d": args.d,
@@ -160,7 +158,7 @@ def _cmd_identity(args) -> int:
         "l_max": args.lmax,
         "residual": residual,
         "remainder_bound": bound,
-        "within_tolerance": residual <= bound + 1e-13 * target,
+        "within_tolerance": pathcount.identity_within_tolerance(args.n, args.d, args.x, residual, bound),
     }
     _write(args, payload)
     return 0
@@ -233,7 +231,8 @@ def _cmd_overlap(args) -> int:
     }
     if 1 <= args.k <= args.l - 1:
         leading = stochastics.overlap_probability_leading(spec)
-        payload.update(leading=leading, exact_over_leading=exact / leading)
+        # leading underflows to 0.0 at large l; the ratio is then undefined
+        payload.update(leading=leading, exact_over_leading=exact / leading if leading else math.nan)
     if args.mc_trials is not None:
         est = stochastics.overlap_probability_mc(spec, args.mc_trials, args.seed)
         payload.update(

@@ -43,7 +43,6 @@ class CoarseGraining:
     """Solved K-slab geometry; immutable and safe to share."""
 
     K: int
-    E: float
     a: tuple[float, ...]
     abar: tuple[float, ...]
     aunder: tuple[float, ...]
@@ -90,7 +89,7 @@ def solve_coarse_graining(K: int) -> CoarseGraining:
     ef = tuple(di / 2.0 + half_k for di in d)
     eb = tuple(di / 2.0 - half_k for di in d)
     aunder = tuple(1.0 - x for x in abar)
-    return CoarseGraining(K=K, E=E, a=a, abar=abar, aunder=aunder, d=d, ef=ef, eb=eb)
+    return CoarseGraining(K=K, a=a, abar=abar, aunder=aunder, d=d, ef=ef, eb=eb)
 
 
 def depth_of_alpha(alpha: float) -> float:
@@ -104,7 +103,7 @@ def depth_of_alpha(alpha: float) -> float:
     return math.sinh(alpha * E) * math.cosh((1.0 - alpha) * E)
 
 
-def g_factor(j: int, K: int, x: float, cg: CoarseGraining) -> float:
+def g_factor(j: int, x: float, cg: CoarseGraining) -> float:
     """Per-slab factor of the product criterion, evaluated at depth x.
 
     Numerator: depth likelihood sinh(a_j E)^x cosh(a_j E)^{1-x} times the
@@ -112,8 +111,7 @@ def g_factor(j: int, K: int, x: float, cg: CoarseGraining) -> float:
     eb = x/2 - 1/(2K) bits to clear and ef = x/2 + 1/(2K) bits to set.
     Raises GeometryDomainError when x makes any x^x argument negative.
     """
-    if cg.K != K:
-        raise ValueError(f"K={K} does not match the solved geometry (K={cg.K})")
+    K = cg.K
     if not 1 <= j <= K:
         raise ValueError(f"slab index must satisfy 1 <= j <= K, got {j}")
     aj = cg.a[j - 1]
@@ -132,7 +130,7 @@ def g_factor(j: int, K: int, x: float, cg: CoarseGraining) -> float:
 
 
 def feasible_depth_range(j: int, K: int) -> tuple[float, float]:
-    """Depth interval on which g_factor(j, K, .) is defined.
+    """Depth interval on which g_factor(j, ., cg) is defined for K = cg.K.
 
     The four x^x arguments are nonnegative iff 1/K <= x <= min((2j-1)/K,
     2 - (2j-1)/K); for the boundary slabs the interval collapses to {1/K}.
@@ -143,14 +141,13 @@ def feasible_depth_range(j: int, K: int) -> tuple[float, float]:
     return 1.0 / K, hi
 
 
-def optimal_d_closed_form(j: int, K: int, cg: CoarseGraining) -> float:
-    """Unique positive maximizer of g_factor(j, K, .) for an interior slab.
+def optimal_d_closed_form(j: int, cg: CoarseGraining) -> float:
+    """Unique positive maximizer of g_factor(j, ., cg) for an interior slab.
 
     The stationarity condition is a quadratic in x; boundary slabs j in
     {1, K} are rejected because their feasible depth is pinned to 1/K.
     """
-    if cg.K != K:
-        raise ValueError(f"K={K} does not match the solved geometry (K={cg.K})")
+    K = cg.K
     if not 2 <= j <= K - 1:
         raise ValueError(f"closed form needs an interior slab 2 <= j <= K-1, got j={j}")
     s2 = math.sinh(cg.a[j - 1] * E) ** 2
@@ -170,7 +167,7 @@ def evolution_closed_form(cg: CoarseGraining, i: int) -> float:
 
 
 def evolution_product(cg: CoarseGraining, i: int) -> float:
-    """prod_{j<=i} g_factor(j, K, d_j); equals evolution_closed_form(cg, i).
+    """prod_{j<=i} g_factor(j, d_j, cg); equals evolution_closed_form(cg, i).
 
     At i = K the product telescopes to exactly 1.
     """
@@ -178,7 +175,7 @@ def evolution_product(cg: CoarseGraining, i: int) -> float:
         raise ValueError(f"slab index must satisfy 1 <= i <= K, got {i}")
     prod = 1.0
     for j in range(1, i + 1):
-        prod *= g_factor(j, cg.K, cg.d[j - 1], cg)
+        prod *= g_factor(j, cg.d[j - 1], cg)
     return prod
 
 
@@ -194,7 +191,7 @@ def f_function(cg: CoarseGraining, dvec) -> float:
     prod = 1.0
     for j, x in enumerate(dvec, start=1):
         try:
-            prod *= g_factor(j, cg.K, x, cg)
+            prod *= g_factor(j, x, cg)
         except GeometryDomainError:
             prod = 0.0
     return prod

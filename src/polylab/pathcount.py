@@ -142,6 +142,13 @@ def identity_residual(n: int, d: int, x: float, l_max: int) -> float:
     return abs(math.fsum(terms) - target)
 
 
+def identity_within_tolerance(n: int, d: int, x: float, residual: float, bound: float) -> bool:
+    """Whether an `identity_residual` is within the truncation remainder `bound`
+    plus float rounding of 1e-13 relative to sinh(x)^d cosh(x)^{n-d}."""
+    target = math.sinh(x) ** d * math.cosh(x) ** (n - d)
+    return residual <= bound + 1e-13 * target
+
+
 def log_m_bound(n: int, l: int, d: int, x: float) -> float:
     """log of sinh(x)^d cosh(x)^{n-d} l! / x^l."""
     if not 0 < x < math.inf:

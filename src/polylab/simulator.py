@@ -5,9 +5,10 @@ positive, reproducible Exp(1) weight to every edge through a splittable
 counter-based generator, so an instance is fully determined by (n, seed).
 Ground states are exact shortest paths from the all-zeros to the all-ones
 vertex: compiled sparse Dijkstra over the materialized weight table for
-n <= CSR_MAX_DIMENSION, and above it a bidirectional ball search that grows
-a ball around each corner in vectorized Delta-stepping rounds, draws the
-weights of the edges it relaxes, and keeps state only for the two balls.
+n <= CSR_MAX_DIMENSION, and above it a bidirectional ball search that keeps
+one ball per corner, grows one of them per phase in vectorized
+Delta-stepping rounds, draws the weights of the edges it relaxes, and keeps
+state only for the two balls.
 Every engine returns one `PolymerPath`, built once from its vertex sequence:
 the constructor checks the walk and reads each step's edge weight, and the
 energy m_n, the steps and the backsteps are read off it.  `path_statistics`
@@ -172,135 +173,32 @@ def _joined(parts: list[tuple]) -> tuple:
 _RELAX_BLOCK = 1 << 13
 
 
-class _BallSearch:
-    """Grows a ball around each corner until the cheapest edge between them is certified.
+class _Ball:
+    """The labelled vertices of the ball around one corner.
 
-    Both balls share sorted arrays keyed by side << n | vertex, side 0 for
-    the ball around 0 and side 1 for the ball around the target: `keys`,
-    `dist` (exact distance from the side's corner) and `pred` (the key of
-    the previous vertex, -1 at a corner).  `pending[side]` lists (key, dist,
-    pred) arrays of the labels found beyond that ball's radius; a key may
-    repeat, and a key the ball has since labelled is stale.
-
-    The balls grow by Delta-stepping (Meyer & Sanders 2003).  A phase raises
-    the radius of the smaller ball (of both when they are equal) so that as
-    many pending labels join as the ball holds, then runs label-correcting
-    rounds until no label within a radius falls.  Every relaxed edge that
-    reaches the other ball closes a corner-to-corner walk, and `upper` is
-    the cheapest one seen.  Once radius_0 + radius_1 >= upper, upper = m_n:
-    the optimal path leaves ball 0 along an edge into ball 1, and that edge
-    was relaxed from whichever endpoint was labelled last, with both labels
-    exact.  So no label of side s above upper - (the other radius as the
-    phase began) is ever needed; such labels are dropped.
+    `keys` are the vertices, sorted; `dist` is each one's exact distance
+    from the corner and `pred` the previous vertex, -1 at the corner.
+    `radius` bounds every stored label.  `pending` lists (key, dist, pred)
+    arrays of the labels found beyond the radius; a key may repeat, and a
+    key the ball has since labelled is stale.
     """
 
-    def __init__(self, instance: HypercubeInstance):
-        n = instance.n
-        self.n = n
-        self.seed = instance.seed
-        self.side_bit = 1 << n
-        self.bits = np.int64(1) << np.arange(n, dtype=np.int64)
-        # an edge's second prng key, its dimension, frontier vertex by vertex
-        self.dim_cycle = np.tile(np.arange(n, dtype=np.uint64), min(_RELAX_BLOCK, instance.num_vertices))
-        self.keys = np.array([0, self.side_bit | instance.target], dtype=np.int64)
-        self.dist = np.zeros(2)
-        self.pred = np.full(2, -1, dtype=np.int64)
-        self.radii = np.zeros(2)
-        self.other_radii = np.zeros(2)  # radii[::-1] as the phase began
-        self.pending = [[], []]
-        self.upper = math.inf
-        self.meet = (-1, -1)  # the keys of the cheapest edge's endpoints, one in each ball
+    def __init__(self, corner: int):
+        self.keys = np.array([corner], dtype=np.int64)
+        self.dist = np.zeros(1)
+        self.pred = np.full(1, -1, dtype=np.int64)
+        self.radius = 0.0
+        self.pending = []
 
-    def vertices(self) -> list[int]:
-        self._settle(self.keys, self.dist)
-        while not self._certified():
-            self._grow()
-        key_0, key_1 = sorted(self.meet)
-        return self._chain(key_0)[::-1] + self._chain(key_1)
-
-    def _certified(self) -> bool:
-        """radius_0 + radius_1 >= upper, compared the way _grow computes a cap,
-        so that a ball grown to its cap ends the search despite rounding."""
-        radius_0, radius_1 = self.radii.tolist()
-        return self.upper - radius_1 <= radius_0 or self.upper - radius_0 <= radius_1
-
-    def _chain(self, key: int) -> list[int]:
-        """The vertices from the key's vertex back to its ball's corner."""
+    def chain(self, vertex: int) -> list[int]:
+        """The vertices from `vertex` back to the corner."""
         out = []
-        while key >= 0:
-            out.append(key & (self.side_bit - 1))
-            key = int(self.pred[np.searchsorted(self.keys, key)])
+        while vertex >= 0:
+            out.append(vertex)
+            vertex = int(self.pred[np.searchsorted(self.keys, vertex)])
         return out
 
-    def _grow(self) -> None:
-        """One phase: the smaller ball (both when equal) takes as many live pending labels as it holds."""
-        self.other_radii = self.radii[::-1].copy()
-        caps = self.upper - self.other_radii
-        size_1 = len(self.keys) - int(np.searchsorted(self.keys, self.side_bit))
-        sizes = (len(self.keys) - size_1, size_1)
-        joining = []
-        for side in (0, 1):
-            k = sizes[side]
-            if k > sizes[1 - side]:
-                continue
-            keys, dist, pred = _joined(self.pending[side])
-            _, stale = _lookup(self.keys, keys)
-            live = ~stale & (dist <= caps[side])
-            keys, dist, pred = keys[live], dist[live], pred[live]
-            if len(dist) > k:
-                self.radii[side] = np.partition(dist, k - 1)[k - 1]
-            elif math.isfinite(caps[side]) or not len(dist):  # every useful label joins: go to the cap
-                self.radii[side] = caps[side]
-            else:
-                self.radii[side] = dist.max()
-            join = dist <= self.radii[side]
-            self.pending[side] = [(keys[~join], dist[~join], pred[~join])]
-            joining.append((keys[join], dist[join], pred[join]))
-        self._settle(*self._lower(*_joined(joining)))
-
-    def _settle(self, keys: np.ndarray, dist: np.ndarray) -> None:
-        """Label-correcting rounds from the given frontier until no label within a radius falls."""
-        while len(keys):
-            found = [
-                self._relax(keys[i : i + _RELAX_BLOCK], dist[i : i + _RELAX_BLOCK])
-                for i in range(0, len(keys), _RELAX_BLOCK)
-            ]
-            keys, dist = self._lower(*_joined(found))
-
-    def _relax(self, frontier: np.ndarray, frontier_dist: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Relax the n edges at each vertex of the sorted frontier; return the labels within a radius.
-
-        Records the walks that reach the other ball in `upper` and keeps the
-        labels beyond the radius pending.
-        """
-        keys = (frontier[:, None] ^ self.bits).ravel()
-        pred = np.repeat(frontier, self.n)
-        lower_end = keys & pred & (self.side_bit - 1)  # the edge's first prng key
-        dist = np.repeat(frontier_dist, self.n) + prng.exponential_array(
-            self.seed, lower_end, self.dim_cycle[: len(keys)]
-        )
-        pos, hit = _lookup(self.keys, keys ^ self.side_bit)
-        total = np.where(hit, dist + self.dist[pos], math.inf)
-        i = int(total.argmin())
-        if total[i] < self.upper:
-            self.upper = float(total[i])
-            self.meet = (int(pred[i]), int(keys[i] ^ self.side_bit))
-        first_side, last_side = int(frontier[0]) >> self.n, int(frontier[-1]) >> self.n
-        one_ball = first_side == last_side
-        side = first_side if one_ball else keys >> self.n
-        useful = dist <= (self.upper - self.other_radii)[side]
-        beyond = useful & (dist > self.radii[side])
-        out = keys[beyond], dist[beyond], pred[beyond]
-        if one_ball:
-            self.pending[side].append(out)
-        else:  # side-0 entries come first
-            cut = int(np.count_nonzero(beyond[: int(np.searchsorted(frontier, self.side_bit)) * self.n]))
-            self.pending[0].append(tuple(a[:cut] for a in out))
-            self.pending[1].append(tuple(a[cut:] for a in out))
-        within = useful & ~beyond
-        return keys[within], dist[within], pred[within]
-
-    def _lower(self, keys: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lower(self, keys: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store each key's cheapest candidate label where it beats the stored one; return those keys and labels."""
         if not len(keys):
             return keys, dist
@@ -327,6 +225,101 @@ class _BallSearch:
         return keys, dist
 
 
+class _BallSearch:
+    """Grows a ball around each corner until the cheapest edge between them is certified.
+
+    `balls[0]` grows around 0 and `balls[1]` around the target.  They grow
+    by Delta-stepping (Meyer & Sanders 2003).  A phase raises the radius of
+    the smaller ball (ball 0 on a tie) so that as many pending labels join
+    as the ball holds, then runs label-correcting rounds until no label
+    within its radius falls; the other ball stays as it is.  Every relaxed
+    edge that reaches the other ball closes a corner-to-corner walk, and
+    `upper` is the cheapest one seen.  Once radius_0 + radius_1 >= upper,
+    upper = m_n: the optimal path leaves ball 0 along an edge into ball 1,
+    and that edge was relaxed from whichever endpoint was labelled last,
+    with both labels exact.  So no label of a ball above upper minus the
+    other ball's radius is ever needed; such labels are dropped.
+    """
+
+    def __init__(self, instance: HypercubeInstance):
+        n = instance.n
+        self.n = n
+        self.seed = instance.seed
+        self.bits = np.int64(1) << np.arange(n, dtype=np.int64)
+        # an edge's second prng key, its dimension, frontier vertex by vertex
+        self.dim_cycle = np.tile(np.arange(n, dtype=np.uint64), min(_RELAX_BLOCK, instance.num_vertices))
+        self.balls = (_Ball(0), _Ball(instance.target))
+        self.upper = math.inf
+        self.meet = (-1, -1)  # the cheapest edge's endpoints, in ball 0 and in ball 1
+
+    def vertices(self) -> list[int]:
+        for side, ball in enumerate(self.balls):
+            self._settle(side, ball.keys, ball.dist)
+        while not self._certified():
+            self._grow()
+        return self.balls[0].chain(self.meet[0])[::-1] + self.balls[1].chain(self.meet[1])
+
+    def _certified(self) -> bool:
+        """radius_0 + radius_1 >= upper, compared the way _grow computes a cap,
+        so that a ball grown to its cap ends the search despite rounding."""
+        radius_0, radius_1 = (ball.radius for ball in self.balls)
+        return self.upper - radius_1 <= radius_0 or self.upper - radius_0 <= radius_1
+
+    def _grow(self) -> None:
+        """One phase: the smaller ball (ball 0 on a tie) takes as many live pending labels as it holds."""
+        side = int(len(self.balls[1].keys) < len(self.balls[0].keys))
+        ball = self.balls[side]
+        cap = self.upper - self.balls[1 - side].radius
+        k = len(ball.keys)
+        keys, dist, pred = _joined(ball.pending)
+        _, stale = _lookup(ball.keys, keys)
+        live = ~stale & (dist <= cap)
+        keys, dist, pred = keys[live], dist[live], pred[live]
+        if len(dist) > k:
+            ball.radius = float(np.partition(dist, k - 1)[k - 1])
+        elif math.isfinite(cap) or not len(dist):  # every useful label joins: go to the cap
+            ball.radius = cap
+        else:
+            ball.radius = float(dist.max())
+        join = dist <= ball.radius
+        ball.pending = [(keys[~join], dist[~join], pred[~join])]
+        self._settle(side, *ball.lower(keys[join], dist[join], pred[join]))
+
+    def _settle(self, side: int, keys: np.ndarray, dist: np.ndarray) -> None:
+        """Label-correcting rounds from the given frontier of a ball until no label within its radius falls."""
+        while len(keys):
+            found = [
+                self._relax(side, keys[i : i + _RELAX_BLOCK], dist[i : i + _RELAX_BLOCK])
+                for i in range(0, len(keys), _RELAX_BLOCK)
+            ]
+            keys, dist = self.balls[side].lower(*_joined(found))
+
+    def _relax(self, side: int, frontier: np.ndarray, frontier_dist: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Relax the n edges at each vertex of the ball's sorted frontier; return the labels within its radius.
+
+        Records the walks that reach the other ball in `upper` and keeps the
+        labels beyond the radius pending.
+        """
+        ball, other = self.balls[side], self.balls[1 - side]
+        keys = (frontier[:, None] ^ self.bits).ravel()
+        pred = np.repeat(frontier, self.n)
+        dist = np.repeat(frontier_dist, self.n) + prng.exponential_array(
+            self.seed, keys & pred, self.dim_cycle[: len(keys)]  # the lower endpoint is the edge's first prng key
+        )
+        pos, hit = _lookup(other.keys, keys)
+        total = np.where(hit, dist + other.dist[pos], math.inf)
+        i = int(total.argmin())
+        if total[i] < self.upper:
+            self.upper = float(total[i])
+            ends = (int(pred[i]), int(keys[i]))
+            self.meet = ends if side == 0 else ends[::-1]
+        useful = dist <= self.upper - other.radius
+        beyond = useful & (dist > ball.radius)
+        ball.pending.append((keys[beyond], dist[beyond], pred[beyond]))
+        within = useful & ~beyond
+        return keys[within], dist[within], pred[within]
+
+
 def _merged(stored: np.ndarray, old: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
     """`stored` at the positions flagged in `old`, `values` at the positions `at`."""
     out = np.empty(len(old), dtype=stored.dtype)
@@ -346,12 +339,12 @@ def ground_state(instance: HypercubeInstance) -> PolymerPath:
     sparse Dijkstra over the full weight table is fastest: its per-trial
     cost is small and most of it runs in compiled code.  Above it, the
     ball search labels only two small balls around the corners (radii
-    summing to m_n ~ 0.9), relaxing a whole frontier per numpy round with
-    weights drawn on demand, so its time and memory scale with those balls,
-    not with 2^n: a fresh `simulate --trials 1` process at n = 20/22/24/26
-    takes about 0.9/1.2/1.5/1.8 s and peaks at 86/108/129/144 MiB on a
-    2-vCPU x86 host, of which about 0.8 s and 80 MiB are the numpy and
-    scipy imports.  Both engines find the same minimizer, and its energy is
+    summing to m_n ~ 0.9), growing the smaller one per phase and relaxing a
+    whole frontier of it per numpy round with weights drawn on demand, so
+    its time and memory scale with those balls, not with 2^n: a fresh
+    `simulate --trials 1` process at n = 20/22/24/26 takes about
+    0.9/1.2/1.5/1.8 s and peaks at 86/108/129/144 MiB on a 2-vCPU x86 host,
+    of which about 0.8 s and 80 MiB are the numpy and scipy imports.  Both engines find the same minimizer, and its energy is
     the path-order weight sum, which both engines and the exhaustive oracle
     reproduce bit-for-bit.
     Any vertex repeat could be spliced out for a cheaper path, so

@@ -112,6 +112,13 @@ class TestOverlap:
         payload = json.loads(out)
         assert payload["exact"] == pytest.approx(payload["leading"] * payload["exact_over_leading"])
 
+    def test_underflowing_leading_term(self, capsys):
+        code, out, _ = run_cli(capsys, "overlap", "--l", "150", "--k", "75", "--x", "0.5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["leading"] == 0.0
+        assert payload["exact_over_leading"] is None
+
     def test_with_mc(self, capsys):
         code, out, _ = run_cli(
             capsys, "overlap", "--l", "3", "--k", "1", "--x", "1.0", "--mc-trials", "10000", "--seed", "5"

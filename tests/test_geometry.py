@@ -72,15 +72,15 @@ class TestGFactor:
         # closed form [sinh(a1 E) K]^{1/K} [cosh(a1 E)/(1-1/K)]^{1-1/K} at K=2:
         # sinh(E/2)cosh(E/2) = 1/2 makes it exactly sqrt(2)
         cg = geometry.solve_coarse_graining(2)
-        value = geometry.g_factor(1, 2, cg.d[0], cg)
+        value = geometry.g_factor(1, cg.d[0], cg)
         assert value == pytest.approx(math.sqrt(2.0), abs=1e-12)
         # and the full product compensates through the mirror slab
-        assert value * geometry.g_factor(2, 2, cg.d[1], cg) == pytest.approx(1.0, abs=1e-12)
+        assert value * geometry.g_factor(2, cg.d[1], cg) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("K", (2, 4, 8, 16, 64))
     def test_first_slab_closed_form(self, K):
         cg = geometry.solve_coarse_graining(K)
-        value = geometry.g_factor(1, K, 1.0 / K, cg)
+        value = geometry.g_factor(1, 1.0 / K, cg)
         closed = (math.sinh(cg.a[0] * E) * K) ** (1.0 / K) * (
             math.cosh(cg.a[0] * E) / (1.0 - 1.0 / K)
         ) ** (1.0 - 1.0 / K) if K > 1 else math.sinh(cg.a[0] * E)
@@ -88,14 +88,14 @@ class TestGFactor:
 
     def test_local_maximality_at_d3(self):
         cg = geometry.solve_coarse_graining(8)
-        center = geometry.g_factor(3, 8, cg.d[2], cg)
-        assert center > geometry.g_factor(3, 8, cg.d[2] + 0.01, cg)
-        assert center > geometry.g_factor(3, 8, cg.d[2] - 0.01, cg)
+        center = geometry.g_factor(3, cg.d[2], cg)
+        assert center > geometry.g_factor(3, cg.d[2] + 0.01, cg)
+        assert center > geometry.g_factor(3, cg.d[2] - 0.01, cg)
 
     def test_domain_violation_reported(self):
         cg = geometry.solve_coarse_graining(8)
         with pytest.raises(geometry.GeometryDomainError):
-            geometry.g_factor(3, 8, 0.01, cg)  # eb would be negative
+            geometry.g_factor(3, 0.01, cg)  # eb would be negative
 
 
 class TestOptimalDClosedForm:
@@ -103,22 +103,22 @@ class TestOptimalDClosedForm:
     def test_matches_depth_everywhere(self, K):
         cg = geometry.solve_coarse_graining(K)
         for j in range(2, K):
-            assert abs(geometry.optimal_d_closed_form(j, K, cg) - cg.d[j - 1]) <= 1e-10
+            assert abs(geometry.optimal_d_closed_form(j, cg) - cg.d[j - 1]) <= 1e-10
 
     def test_symmetric_pair(self):
         K = 16
         cg = geometry.solve_coarse_graining(K)
-        left = geometry.optimal_d_closed_form(K // 2, K, cg)
-        right = geometry.optimal_d_closed_form(K // 2 + 1, K, cg)
+        left = geometry.optimal_d_closed_form(K // 2, cg)
+        right = geometry.optimal_d_closed_form(K // 2 + 1, cg)
         assert abs(left - right) <= 1e-10
 
     def test_grid_argmax_agrees(self):
         K = 16
         cg = geometry.solve_coarse_graining(K)
-        xhat = geometry.optimal_d_closed_form(5, K, cg)
+        xhat = geometry.optimal_d_closed_form(5, cg)
         step = 1e-6
         xs = grid(1.0 / K + step, 3.0 / K, step)
-        best = max(xs, key=lambda x: geometry.g_factor(5, K, x, cg))
+        best = max(xs, key=lambda x: geometry.g_factor(5, x, cg))
         assert abs(best - xhat) <= 2e-6
 
     def test_unique_maximizer_sign_change(self):
@@ -129,7 +129,7 @@ class TestOptimalDClosedForm:
                 step = 1e-4
                 lo, hi = geometry.feasible_depth_range(j, K)
                 xs = grid(lo + step, min(hi - step, 3.5 / K), step)
-                values = [geometry.g_factor(j, K, x, cg) for x in xs]
+                values = [geometry.g_factor(j, x, cg) for x in xs]
                 diffs = [b - a for a, b in zip(values, values[1:])]
                 changes = sum(
                     1 for a, b in zip(diffs, diffs[1:]) if (a > 0) != (b > 0)
@@ -139,9 +139,9 @@ class TestOptimalDClosedForm:
     def test_rejects_boundary_slabs(self):
         cg = geometry.solve_coarse_graining(8)
         with pytest.raises(ValueError):
-            geometry.optimal_d_closed_form(1, 8, cg)
+            geometry.optimal_d_closed_form(1, cg)
         with pytest.raises(ValueError):
-            geometry.optimal_d_closed_form(8, 8, cg)
+            geometry.optimal_d_closed_form(8, cg)
 
 
 class TestEvolutionProduct:

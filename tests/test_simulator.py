@@ -387,12 +387,6 @@ class TestDirectedOverlapCount:
     def test_refined_envelope_n5_k1(self):
         assert simulator.directed_overlap_table(5)[1] <= math.factorial(4) * 2 * 1.5
 
-    def test_envelopes_all_n(self):
-        for n in range(2, 8):
-            for k, f, coarse, ok_coarse, ok_refined in simulator.directed_overlap_envelopes(n):
-                assert ok_coarse, (n, k, f, coarse)
-                assert ok_refined, (n, k, f)
-
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             simulator.directed_overlap_table(8)
