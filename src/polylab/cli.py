@@ -3,8 +3,10 @@
 Subcommands dispatch to the four engines and emit machine-readable JSON or
 CSV through one writer; `verify` runs the checks of `polylab.checks` and
 exits nonzero on any failure.  Exit codes: 0 success, 1 engine or
-verification failure, 2 usage error.  Identical arguments always produce
-byte-identical output.
+verification failure, 2 usage error.  The handlers check no argument range
+themselves: each first calls the library function that owns its inputs'
+domain, whose `polylab.UsageError` exits 2 before any other work is done.
+Identical arguments always produce byte-identical output.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import json
 import math
 import sys
 
-from . import checks, geometry, pathcount, simulator, stochastics
+from . import UsageError, checks, geometry, pathcount, prng, simulator, stochastics
 from .constants import E, L
 
 
@@ -120,35 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_seeds(seed: int, count: int) -> None:
-    """Seeds `seed` .. `seed + count - 1` key a 64-bit generator."""
-    if seed < 0 or seed + count > 1 << 64:
-        raise UsageError(f"--seed must satisfy 0 <= seed <= 2^64 - {count}, got {seed}")
-
-
 def _cmd_count(args) -> int:
-    if args.d > args.n:
-        raise UsageError(f"--d must not exceed --n (got d={args.d}, n={args.n})")
-    if args.n < 1 or args.l < 0 or args.d < 0:
-        raise UsageError("count requires n >= 1, l >= 0, d >= 0")
     value = pathcount.stanley_count(args.n, args.l, args.d)
     _write(args, {"count": str(value)}, ["n", "l", "d", "count"], [[args.n, args.l, args.d, value]])
     return 0
 
 
-def _require_positive_x(x: float) -> None:
-    if not 0 < x < math.inf:
-        raise UsageError(f"--x must be positive and finite, got {x}")
-
-
 def _cmd_identity(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.d > args.n or args.d < 0:
-        raise UsageError(f"--d must satisfy 0 <= d <= n (got d={args.d}, n={args.n})")
-    if args.lmax < 0:
-        raise UsageError(f"--lmax must be >= 0, got {args.lmax}")
-    _require_positive_x(args.x)
     residual = pathcount.identity_residual(args.n, args.d, args.x, args.lmax)
     bound = pathcount.identity_remainder_bound(args.n, args.x, args.lmax)
     payload = {
@@ -165,10 +145,7 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
-    if args.K < 1:
-        raise UsageError(f"--K must be >= 1, got {args.K}")
-    if args.m is not None and not 0 <= 2 * args.m < args.K:
-        raise UsageError(f"--m must satisfy 0 <= 2m < K (got m={args.m}, K={args.K})")
+    profile = None if args.m is None else geometry.build_optimal_profile(args.K, args.m)
     cg = geometry.solve_coarse_graining(args.K)
     full_product = geometry.evolution_product(cg, args.K)
     payload = {
@@ -183,8 +160,7 @@ def _cmd_geometry(args) -> int:
     }
     rows = [[i + 1, cg.a[i], cg.abar[i + 1], cg.d[i], cg.ef[i], cg.eb[i]] for i in range(args.K)]
     rows.append(["full_product", full_product, None, None, None, None])
-    if args.m is not None:
-        profile = geometry.build_optimal_profile(args.K, args.m)
+    if profile is not None:
         payload.update(m=profile.m, d_opt=profile.d_opt, L_opt=profile.L_opt, L_minus_L_opt=L - profile.L_opt)
         rows.append(["L_opt", profile.L_opt, None, None, None, None])
     _write(args, payload, ["i", "a_i", "abar_i", "d_i", "ef_i", "eb_i"], rows)
@@ -192,10 +168,7 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not 0 < args.grid_step <= 1e-3:
-        raise UsageError(f"--grid-step must lie in (0, 1e-3], got {args.grid_step}")
-    if args.lopt is not None and not 1 < args.lopt <= 1.25:
-        raise UsageError(f"--lopt must lie in (1, 1.25], got {args.lopt}")
+    sup = None if args.lopt is None else geometry.theta_hat_sup(args.grid_step, args.lopt)
     report = geometry.verify_scalar_claims(args.grid_step)
     payload = {
         "grid_step": report.grid_step,
@@ -203,8 +176,7 @@ def _cmd_analyze(args) -> int:
         "all_passed": report.all_passed,
     }
     rows = [[it.name, it.passed, f'"{it.detail}"'] for it in report.items]
-    if args.lopt is not None:
-        sup = geometry.theta_hat_sup(args.grid_step, args.lopt)
+    if sup is not None:
         payload.update(l_opt=args.lopt, theta_hat_sup=sup)
         rows.append([f"theta_hat_sup_at_{args.lopt}", sup, None])
     _write(args, payload, ["name", "passed", "detail"], rows)
@@ -212,15 +184,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    if args.l < 1:
-        raise UsageError(f"--l must be >= 1, got {args.l}")
-    if not 0 <= args.k <= args.l:
-        raise UsageError(f"--k must satisfy 0 <= k <= l (got k={args.k}, l={args.l})")
-    _require_positive_x(args.x)
-    if args.mc_trials is not None and args.mc_trials < 10**4:
-        raise UsageError(f"--mc-trials must be >= 10000, got {args.mc_trials}")
-    _require_seeds(args.seed, 1)
     spec = stochastics.OverlapSpec(l=args.l, k=args.k, x=args.x)
+    prng.require_seeds(args.seed)  # --seed is range-checked even without --mc-trials
+    est = None if args.mc_trials is None else stochastics.overlap_probability_mc(spec, args.mc_trials, args.seed)
     exact = stochastics.overlap_probability_exact(spec)
     payload = {
         "l": args.l,
@@ -233,8 +199,7 @@ def _cmd_overlap(args) -> int:
         leading = stochastics.overlap_probability_leading(spec)
         # leading underflows to 0.0 at large l; the ratio is then undefined
         payload.update(leading=leading, exact_over_leading=exact / leading if leading else math.nan)
-    if args.mc_trials is not None:
-        est = stochastics.overlap_probability_mc(spec, args.mc_trials, args.seed)
+    if est is not None:
         payload.update(
             mc_estimate=est.estimate, mc_stderr=est.stderr, mc_trials=args.mc_trials, mc_seed=args.seed
         )
@@ -243,11 +208,6 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if not 1 <= args.n <= simulator.MAX_DIMENSION:
-        raise UsageError(f"--n must satisfy 1 <= n <= {simulator.MAX_DIMENSION}, got {args.n}")
-    if args.trials < 1 or args.parallelism < 1:
-        raise UsageError("simulate requires trials >= 1 and parallelism >= 1")
-    _require_seeds(args.seed, args.trials)
     records, summary = simulator.run_trials(args.n, args.trials, args.seed, args.parallelism)
     trials = [simulator.trial_record_json_dict(r) for r in records]
     payload = {"trials": trials, "aggregate": dataclasses.asdict(summary)}
@@ -268,10 +228,6 @@ def _cmd_verify(args) -> int:
         print(f"{check.name:<{width}}  {status}  {detail}")
     print(f"overall: {'PASS' if all_passed else 'FAIL'}")
     return 0 if all_passed else 1
-
-
-class UsageError(Exception):
-    pass
 
 
 _HANDLERS = {

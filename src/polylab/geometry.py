@@ -15,6 +15,7 @@ grids.
 import math
 from dataclasses import dataclass
 
+from . import UsageError
 from .constants import E, L
 
 
@@ -81,7 +82,7 @@ def solve_coarse_graining(K: int) -> CoarseGraining:
     differencing and the step bookkeeping d = ef + eb, 1/K = ef - eb.
     """
     if K < 1:
-        raise ValueError(f"number of scales must be >= 1, got {K}")
+        raise UsageError(f"number of scales must be >= 1, got {K}")
     abar = tuple(0.5 * (1.0 + math.asinh(2.0 * i / K - 1.0) / E) for i in range(K + 1))
     a = tuple(abar[i + 1] - abar[i] for i in range(K))
     d = tuple(math.sinh(ai * E) * math.cosh((1.0 - ai) * E) for ai in a)
@@ -99,7 +100,7 @@ def depth_of_alpha(alpha: float) -> float:
     together with its mirror it satisfies depth(alpha) + depth(1-alpha) = 1.
     """
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
     return math.sinh(alpha * E) * math.cosh((1.0 - alpha) * E)
 
 
@@ -113,7 +114,7 @@ def g_factor(j: int, x: float, cg: CoarseGraining) -> float:
     """
     K = cg.K
     if not 1 <= j <= K:
-        raise ValueError(f"slab index must satisfy 1 <= j <= K, got {j}")
+        raise UsageError(f"slab index must satisfy 1 <= j <= K, got {j}")
     aj = cg.a[j - 1]
     s = math.sinh(aj * E)
     c = math.cosh(aj * E)
@@ -136,7 +137,7 @@ def feasible_depth_range(j: int, K: int) -> tuple[float, float]:
     2 - (2j-1)/K); for the boundary slabs the interval collapses to {1/K}.
     """
     if not 1 <= j <= K:
-        raise ValueError(f"slab index must satisfy 1 <= j <= K, got {j}")
+        raise UsageError(f"slab index must satisfy 1 <= j <= K, got {j}")
     hi = min((2 * j - 1) / K, 2.0 - (2 * j - 1) / K)
     return 1.0 / K, hi
 
@@ -149,7 +150,7 @@ def optimal_d_closed_form(j: int, cg: CoarseGraining) -> float:
     """
     K = cg.K
     if not 2 <= j <= K - 1:
-        raise ValueError(f"closed form needs an interior slab 2 <= j <= K-1, got j={j}")
+        raise UsageError(f"closed form needs an interior slab 2 <= j <= K-1, got j={j}")
     s2 = math.sinh(cg.a[j - 1] * E) ** 2
     bracket = (2 * j - 1) / (2 * K) - j * (j - 1) / K**2
     return -s2 + math.sqrt(s2 * s2 + 4.0 * s2 * bracket + 1.0 / K**2)
@@ -158,7 +159,7 @@ def optimal_d_closed_form(j: int, cg: CoarseGraining) -> float:
 def evolution_closed_form(cg: CoarseGraining, i: int) -> float:
     """Closed form of the partial product over the first i slabs."""
     if not 1 <= i <= cg.K:
-        raise ValueError(f"slab index must satisfy 1 <= i <= K, got {i}")
+        raise UsageError(f"slab index must satisfy 1 <= i <= K, got {i}")
     t = i / cg.K
     first = (math.sinh(cg.abar[i] * E) / t) ** t
     if t == 1.0:
@@ -172,7 +173,7 @@ def evolution_product(cg: CoarseGraining, i: int) -> float:
     At i = K the product telescopes to exactly 1.
     """
     if not 1 <= i <= cg.K:
-        raise ValueError(f"slab index must satisfy 1 <= i <= K, got {i}")
+        raise UsageError(f"slab index must satisfy 1 <= i <= K, got {i}")
     prod = 1.0
     for j in range(1, i + 1):
         prod *= g_factor(j, cg.d[j - 1], cg)
@@ -187,7 +188,7 @@ def f_function(cg: CoarseGraining, dvec) -> float:
     empty path ensembles; those contribute a factor 0, so the product is 0.
     """
     if len(dvec) != cg.K:
-        raise ValueError(f"expected {cg.K} depths, got {len(dvec)}")
+        raise UsageError(f"expected {cg.K} depths, got {len(dvec)}")
     prod = 1.0
     for j, x in enumerate(dvec, start=1):
         try:
@@ -215,9 +216,9 @@ def build_optimal_profile(K: int, m: int = 2) -> OptimalProfile:
     Taylor error of the interior depths (measured constant is about 0.8/K).
     """
     if m < 0:
-        raise ValueError(f"directed-cap width must be nonnegative, got {m}")
+        raise UsageError(f"directed-cap width must be nonnegative, got {m}")
     if 2 * m >= K:
-        raise ValueError(f"need 2m < K, got m={m}, K={K}")
+        raise UsageError(f"need 2m < K, got m={m}, K={K}")
     cg = solve_coarse_graining(K)
     inv_k = 1.0 / K
     d_opt = (inv_k,) * m + cg.d[m : K - m] + (inv_k,) * m
@@ -236,9 +237,9 @@ def theta_hat(x: float, l_opt: float) -> float:
     by 1 on [0, 1] and by exp(-x/100) for x <= 1/5.
     """
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if not 1.0 < l_opt <= 1.25 + 1e-9:
-        raise ValueError(f"l_opt must lie in (1, 1.25], got {l_opt}")
+        raise UsageError(f"x must lie in [0, 1], got {x}")
+    if not 1.0 < l_opt <= 1.25:
+        raise UsageError(f"l_opt must lie in (1, 1.25], got {l_opt}")
     if x == 1.0:
         return 1.0
     t = E * (1.0 - x)
@@ -247,7 +248,9 @@ def theta_hat(x: float, l_opt: float) -> float:
 
 
 def theta_hat_sup(grid_step: float, l_opt: float) -> float:
-    """Maximum of theta_hat(., l_opt) over the grid 0, grid_step, ..., 1."""
+    """Maximum of theta_hat(., l_opt) over the grid 0, grid_step, ..., 1, for a step in (0, 1e-3]."""
+    if not 0.0 < grid_step <= 1e-3:
+        raise UsageError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     n = int(round(1.0 / grid_step))
     return max(theta_hat(min(i * grid_step, 1.0), l_opt) for i in range(n + 1))
 
@@ -259,7 +262,7 @@ def g1(x: float) -> float:
     as x -> 1 (negative exponent on a vanishing base); returns inf at x = 1.
     """
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+        raise UsageError(f"x must lie in [0, 1], got {x}")
     if x == 1.0:
         return math.inf
     t = E * (1.0 - x)
@@ -269,7 +272,7 @@ def g1(x: float) -> float:
 def g2(x: float) -> float:
     """Second scalar branch, with fixed exponent constant 1/1.24; g2(1) = 1."""
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+        raise UsageError(f"x must lie in [0, 1], got {x}")
     if x == 1.0:
         return 1.0  # both sinh and cosh factors collapse under 0^0 = 1
     t = E * (1.0 - x)
@@ -289,7 +292,7 @@ def substrand_identities(cg: CoarseGraining, j: int) -> dict[str, tuple[float, f
     pairs agree to float precision.
     """
     if not 1 <= j <= cg.K:
-        raise ValueError(f"slab index must satisfy 1 <= j <= K, got {j}")
+        raise UsageError(f"slab index must satisfy 1 <= j <= K, got {j}")
     K = cg.K
     dj = cg.d[j - 1]
     half_k = 1.0 / (2 * K)
@@ -338,12 +341,11 @@ def verify_scalar_claims(grid_step: float = 1e-4) -> ScalarClaimsReport:
     (b) theta_hat(x) <= exp(-x/100) on (0, 0.2] at both endpoints;
     (c) log g1 convex on [0.12, 0.73] (second differences >= -1e-6);
     (d) log g2 convex on [0.71, 1] (same threshold);
-    (e) boundary values g1(0.12), g1(0.73), g2(0.71) <= 1 and g2(1) = 1.
+    (e) boundary values g1(0.12), g1(0.73), g2(0.71) <= 1 and g2(1) = 1 exactly.
     Convexity is checked by central differences rather than symbolically; the
-    -1e-6 threshold absorbs discretization error.
+    -1e-6 threshold absorbs discretization error.  `theta_hat_sup`, called
+    first, rejects a grid_step outside (0, 1e-3].
     """
-    if not 0.0 < grid_step <= 1e-3:
-        raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     items = []
 
     sup = max(theta_hat_sup(grid_step, l_opt) for l_opt in (1.24, 1.25))
@@ -376,7 +378,7 @@ def verify_scalar_claims(grid_step: float = 1e-4) -> ScalarClaimsReport:
         g1(0.12) <= 1.0
         and g1(0.73) <= 1.0
         and g2(0.71) <= 1.0
-        and abs(g2(1.0) - 1.0) <= 1e-12
+        and g2(1.0) == 1.0
     )
     items.append(
         ScalarClaimItem(

@@ -19,6 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb, factorial
 
+from . import UsageError
 from .constants import E, L
 
 _BRUTE_FORCE_MAX_N = 6
@@ -26,8 +27,11 @@ _BRUTE_FORCE_MAX_L = 12
 
 
 def _require_distance(n: int, d: int) -> None:
+    """The (n, d) domain of a walk count: a dimension n >= 1 and a Hamming distance 0 <= d <= n."""
+    if n < 1:
+        raise UsageError(f"dimension must be positive, got n={n}")
     if not 0 <= d <= n:
-        raise ValueError(f"Hamming distance must satisfy 0 <= d <= n, got d={d}, n={n}")
+        raise UsageError(f"Hamming distance must satisfy 0 <= d <= n, got d={d}, n={n}")
 
 
 @functools.lru_cache(maxsize=128)
@@ -54,11 +58,9 @@ def stanley_count(n: int, l: int, d: int) -> int:
     over integers; the division by 2^n is exact.  Conventions: 0^0 = 1 (the
     l = 0 term), so M(n,0,0) = 1.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got n={n}")
-    if l < 0:
-        raise ValueError(f"walk length must be nonnegative, got l={l}")
     _require_distance(n, d)
+    if l < 0:
+        raise UsageError(f"walk length must be nonnegative, got l={l}")
     total = sum(w * (n - 2 * i) ** l for i, w in enumerate(_eigen_weights(n, d)))
     return _divide_exact(total, n, l, d)
 
@@ -84,12 +86,11 @@ def brute_force_walk_count(n: int, l: int, d: int) -> int:
     distance d gives the same count by symmetry).  Guardrails n <= 6, l <= 12
     keep the 2^n-state dynamic program cheap.
     """
-    if not 1 <= n <= _BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {_BRUTE_FORCE_MAX_N}, got {n}")
+    _require_distance(n, d)
+    if n > _BRUTE_FORCE_MAX_N:
+        raise UsageError(f"brute force limited to n <= {_BRUTE_FORCE_MAX_N}, got {n}")
     if not 0 <= l <= _BRUTE_FORCE_MAX_L:
-        raise ValueError(f"brute force limited to l <= {_BRUTE_FORCE_MAX_L}, got {l}")
-    if not 0 <= d <= n:
-        raise ValueError(f"Hamming distance must satisfy 0 <= d <= n, got d={d}, n={n}")
+        raise UsageError(f"brute force limited to l <= {_BRUTE_FORCE_MAX_L}, got {l}")
     size = 1 << n
     occupancy = [0] * size
     occupancy[0] = 1
@@ -110,10 +111,10 @@ def identity_remainder_bound(n: int, x: float, l_max: int) -> float:
     tail; requires n*x < l_max + 2 so the ratio test closes.
     """
     if not 0 < x < math.inf:
-        raise ValueError(f"x must be positive and finite, got {x}")
+        raise UsageError(f"x must be positive and finite, got {x}")
     nx = n * x
     if nx >= l_max + 2:
-        raise ValueError(f"l_max={l_max} too small for remainder bound at n*x={nx:.3f}")
+        raise UsageError(f"l_max={l_max} too small for remainder bound at n*x={nx:.3f}")
     log_head = (l_max + 1) * math.log(nx) - math.lgamma(l_max + 2)
     ratio = nx / (l_max + 2)
     return math.exp(log_head) / (1.0 - ratio)
@@ -127,10 +128,10 @@ def identity_residual(n: int, d: int, x: float, l_max: int) -> float:
     truncation remainder plus float rounding of order 1e-13 relative.
     """
     if not 0 < x < math.inf:
-        raise ValueError(f"x must be positive and finite, got {x}")
+        raise UsageError(f"x must be positive and finite, got {x}")
     _require_distance(n, d)
     if identity_remainder_bound(n, x, l_max) > 1e-12:
-        raise ValueError(f"l_max={l_max} leaves a truncation remainder above 1e-12")
+        raise UsageError(f"l_max={l_max} leaves a truncation remainder above 1e-12")
     terms = []
     for l, m in zip(range(l_max + 1), walk_counts(n, d)):
         if m:
@@ -152,10 +153,10 @@ def identity_within_tolerance(n: int, d: int, x: float, residual: float, bound: 
 def log_m_bound(n: int, l: int, d: int, x: float) -> float:
     """log of sinh(x)^d cosh(x)^{n-d} l! / x^l."""
     if not 0 < x < math.inf:
-        raise ValueError(f"x must be positive and finite, got {x}")
+        raise UsageError(f"x must be positive and finite, got {x}")
     _require_distance(n, d)
     if l < 0:
-        raise ValueError(f"walk length must be nonnegative, got l={l}")
+        raise UsageError(f"walk length must be nonnegative, got l={l}")
     return (
         d * math.log(math.sinh(x))
         + (n - d) * math.log(math.cosh(x))
@@ -170,7 +171,7 @@ def solve_length_ratio(ratio: float) -> float:
     x / tanh(x) maps [0, inf) onto [1, inf) increasingly; ratio = 1 returns 0.
     """
     if not ratio >= 1.0:
-        raise ValueError(f"ratio must be >= 1 (the range of x/tanh(x)), got {ratio}")
+        raise UsageError(f"ratio must be >= 1 (the range of x/tanh(x)), got {ratio}")
     if ratio == 1.0:
         return 0.0
     lo, hi = 1e-12, ratio + 1.0  # x/tanh(x) <= x + 1 makes the bracket valid
@@ -230,10 +231,9 @@ def length_weight_distribution(n: int, l_max: int) -> LengthWeightDistribution:
     M(n,l,n) * p^l / (q^l * l!) where E = p/q exactly as a dyadic, so the
     reported mass carries no accumulated rounding beyond one ulp per term.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got n={n}")
+    _require_distance(n, n)
     if l_max < 3 * n:
-        raise ValueError(f"l_max must be at least 3n = {3 * n}, got {l_max}")
+        raise UsageError(f"l_max must be at least 3n = {3 * n}, got {l_max}")
     p, q = E.as_integer_ratio()
     weights = []
     num_pow = 1  # p^l
@@ -266,10 +266,10 @@ def concentration_tail_mass(n: int, eps: float, a: float) -> tuple[float, float]
     antipodal vertices is shorter than n.
     """
     if not 0.0 < eps < 0.3:
-        raise ValueError(f"eps must lie in (0, 0.3), got {eps}")
+        raise UsageError(f"eps must lie in (0, 0.3), got {eps}")
     if a < 0.0:
         # a = 0 is allowed: the two tails then partition the full series
-        raise ValueError(f"a must be nonnegative, got {a}")
+        raise UsageError(f"a must be nonnegative, got {a}")
     x = E + eps * eps
     lower_cut = math.floor((L - a * eps) * n)
     upper_cut = math.ceil((L + a * eps) * n)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from . import UsageError
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _KEY_A = 0x9E3779B97F4A7C15
 _KEY_B = 0xD1B54A32D192ED03
@@ -19,6 +21,12 @@ _MIX_2 = 0x94D049BB133111EB
 # mix64 >= 2**64 - 2**10; those draws are clamped here, every other draw is
 # left as it is.
 _U_MAX = 1.0 - 2.0**-53
+
+
+def require_seeds(seed: int, count: int = 1) -> None:
+    """Raise UsageError unless the seeds seed .. seed + count - 1 are all unsigned 64-bit."""
+    if not 0 <= seed <= (1 << 64) - count:
+        raise UsageError(f"seed must satisfy 0 <= seed <= 2^64 - {count}, got {seed}")
 
 
 def mix64(seed: int, a: int, b: int) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from . import prng
+from . import UsageError, prng
 
 MAX_DIMENSION = 26
 # Largest n searched by compiled CSR Dijkstra; above it the ball search is
@@ -42,6 +42,11 @@ PROFILE_BINS = 20
 BACKSTEP_DECILES = 10
 
 
+def _require_dimension(n: int) -> None:
+    if not 1 <= n <= MAX_DIMENSION:
+        raise UsageError(f"dimension must satisfy 1 <= n <= {MAX_DIMENSION}, got {n}")
+
+
 @dataclass(frozen=True)
 class HypercubeInstance:
     """A seeded random environment on the n-dimensional hypercube."""
@@ -50,10 +55,8 @@ class HypercubeInstance:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension must satisfy 1 <= n <= {MAX_DIMENSION}, got {self.n}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _require_dimension(self.n)
+        prng.require_seeds(self.seed)
 
     @property
     def num_vertices(self) -> int:
@@ -358,7 +361,7 @@ def ground_state(instance: HypercubeInstance) -> PolymerPath:
 def brute_force_ground_state(instance: HypercubeInstance) -> PolymerPath:
     """Exhaustive search over all simple paths; exact oracle for n <= 4."""
     if instance.n > 4:
-        raise ValueError(f"brute force limited to n <= 4, got {instance.n}")
+        raise UsageError(f"brute force limited to n <= 4, got {instance.n}")
     n = instance.n
     table = weight_table(instance)
     target = instance.target
@@ -499,12 +502,12 @@ def run_trials(
     Trials share no mutable state, so any parallelism degree produces the
     same records; aggregation consumes them in trial order.
     """
+    _require_dimension(n)
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise UsageError(f"need at least one trial, got {trials}")
     if parallelism < 1:
-        raise ValueError(f"parallelism must be positive, got {parallelism}")
-    if base_seed < 0 or base_seed + trials > 1 << 64:
-        raise ValueError(f"seeds {base_seed}..{base_seed + trials - 1} leave the unsigned 64-bit range")
+        raise UsageError(f"parallelism must be positive, got {parallelism}")
+    prng.require_seeds(base_seed, trials)
     if parallelism == 1:
         records = [run_trial(n, base_seed + t, t) for t in range(trials)]
     else:
@@ -521,7 +524,7 @@ def directed_overlap_table(n: int) -> list[int]:
     {1..j-1} and the j-th is j.  Exhaustive over all n! permutations, n <= 7.
     """
     if not 1 <= n <= 7:
-        raise ValueError(f"brute force limited to n <= 7, got {n}")
+        raise UsageError(f"brute force limited to n <= 7, got {n}")
     counts = [0] * (n + 1)
     for sigma in permutations(range(1, n + 1)):
         shared = 0

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
-from . import prng
+from . import UsageError, prng
 
 
 class QuadratureError(RuntimeError):
@@ -31,11 +31,11 @@ class OverlapSpec:
 
     def __post_init__(self):
         if self.l < 1:
-            raise ValueError(f"path length must be positive, got l={self.l}")
+            raise UsageError(f"path length must be positive, got l={self.l}")
         if not 0 <= self.k <= self.l:
-            raise ValueError(f"shared edges must satisfy 0 <= k <= l, got k={self.k}")
-        if not self.x > 0.0:
-            raise ValueError(f"energy threshold must be positive, got x={self.x}")
+            raise UsageError(f"shared edges must satisfy 0 <= k <= l, got k={self.k}")
+        if not 0.0 < self.x < math.inf:
+            raise UsageError(f"energy threshold must be positive and finite, got x={self.x}")
 
 
 def erlang_tail_ratio(l: int, x: float) -> float:
@@ -46,9 +46,9 @@ def erlang_tail_ratio(l: int, x: float) -> float:
     0 <= K(x,l) <= e^x x/(l+1).
     """
     if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
+        raise UsageError(f"l must be positive, got {l}")
     if not x > 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+        raise UsageError(f"x must be positive, got {x}")
     term = 1.0
     total = 0.0
     m = 1
@@ -69,9 +69,9 @@ def erlang_cdf(l: int, x: float) -> float:
     complement of the l-term survival sum otherwise.
     """
     if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
+        raise UsageError(f"l must be positive, got {l}")
     if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+        raise UsageError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
     if x < l:
@@ -92,7 +92,7 @@ def overlap_g(gamma: float) -> float:
     Bounded by 1 on [0, 1], with equality exactly at the endpoints.
     """
     if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        raise UsageError(f"gamma must lie in [0, 1], got {gamma}")
     if gamma == 1.0:
         return 1.0
     u = 1.0 - gamma
@@ -138,7 +138,7 @@ def overlap_probability_leading(spec: OverlapSpec) -> float:
     """
     l, k, x = spec.l, spec.k, spec.x
     if not 1 <= k <= l - 1:
-        raise ValueError(f"leading form needs 1 <= k <= l-1, got k={k}, l={l}")
+        raise UsageError(f"leading form needs 1 <= k <= l-1, got k={k}, l={l}")
     log_value = (
         (2 * l - k) * math.log(x)
         - math.lgamma(l - k + 1)
@@ -161,7 +161,8 @@ def overlap_probability_mc(spec: OverlapSpec, trials: int, seed: int) -> McEstim
     binomial standard error.
     """
     if trials < 10**4:
-        raise ValueError(f"need at least 1e4 trials, got {trials}")
+        raise UsageError(f"need at least 1e4 trials, got {trials}")
+    prng.require_seeds(seed)
     l, k, x = spec.l, spec.k, spec.x
     idx = np.arange(trials, dtype=np.uint64)
     trunk = np.zeros(trials)
@@ -190,9 +191,9 @@ def shift_ratio(l: int, k: int, a: float, b: float) -> float:
     constant; `checks.shift_inequality` judges it.
     """
     if not 1 <= k <= l:
-        raise ValueError(f"need 1 <= k <= l, got k={k}, l={l}")
+        raise UsageError(f"need 1 <= k <= l, got k={k}, l={l}")
     if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shifts must be positive, got a={a}, b={b}")
+        raise UsageError(f"shifts must be positive, got a={a}, b={b}")
     lhs = overlap_probability_exact(OverlapSpec(l=l, k=k, x=a + b))
     base = overlap_probability_exact(OverlapSpec(l=l, k=k, x=a))
     return lhs / (base * (1.0 + b / a) ** (2 * l - k))

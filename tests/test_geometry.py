@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import polylab
 from polylab import geometry
 from polylab.constants import E, L
 
@@ -238,6 +239,10 @@ class TestThetaHat:
             geometry.theta_hat(-0.1, 1.25)
         with pytest.raises(ValueError):
             geometry.theta_hat(0.5, 1.0)
+        with pytest.raises(polylab.UsageError):
+            geometry.theta_hat(0.5, 1.25 + 1e-10)
+        with pytest.raises(polylab.UsageError):
+            geometry.theta_hat_sup(0.0, 1.24)
 
 
 class TestScalarBranches:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polylab
 from polylab import pathcount
 from polylab.constants import E, L
 
@@ -132,17 +133,13 @@ class TestIdentityResidual:
         # target value sinh(E)^3 = 1
         assert pathcount.identity_residual(3, 3, E, 60) < 1e-10
 
-    def test_residual_bounded_by_remainder_on_grid(self):
-        for n in range(1, 11):
-            for d in (0, n // 2, n):
-                for x in (0.5, E, 1.5):
-                    residual = pathcount.identity_residual(n, d, x, 80)
-                    bound = pathcount.identity_remainder_bound(n, x, 80)
-                    assert residual <= bound + 1e-10, (n, d, x)
-
     def test_rejects_insufficient_truncation(self):
         with pytest.raises(ValueError):
             pathcount.identity_residual(10, 5, 1.5, 10)
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(polylab.UsageError):
+            pathcount.identity_residual(0, 0, 1.0, 60)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_x_outside_positive_reals(self, x):

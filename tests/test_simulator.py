@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polylab
 from polylab import simulator
 from polylab.constants import E, L
 from polylab.simulator import HypercubeInstance, PolymerPath
@@ -322,12 +323,20 @@ class TestRunTrials:
         assert repr(serial_records) == repr(parallel_records)
         assert repr(serial_summary) == repr(parallel_summary)
 
-    @pytest.mark.parametrize("base_seed", (-1, 2**64 - 2))
-    def test_out_of_range_seeds_rejected_before_any_trial(self, monkeypatch, base_seed):
+    @pytest.mark.parametrize(
+        "n, base_seed",
+        [
+            pytest.param(4, -1, id="-1"),
+            pytest.param(4, 2**64 - 2, id=str(2**64 - 2)),
+            pytest.param(0, 0, id="n=0"),
+            pytest.param(simulator.MAX_DIMENSION + 1, 0, id="n=MAX_DIMENSION+1"),
+        ],
+    )
+    def test_out_of_range_seeds_rejected_before_any_trial(self, monkeypatch, n, base_seed):
         ran = []
         monkeypatch.setattr(simulator, "run_trial", lambda *args: ran.append(args))
-        with pytest.raises(ValueError):
-            simulator.run_trials(4, 3, base_seed)
+        with pytest.raises(polylab.UsageError):
+            simulator.run_trials(n, 3, base_seed)
         assert ran == []
 
     def test_last_unsigned_seed_accepted(self):

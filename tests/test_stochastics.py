@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
+import polylab
 from polylab import stochastics
 from polylab.constants import E
 from polylab.stochastics import OverlapSpec
@@ -93,6 +94,8 @@ class TestOverlapSpec:
             OverlapSpec(l=3, k=1, x=0.0)
         with pytest.raises(ValueError):
             OverlapSpec(l=0, k=0, x=1.0)
+        with pytest.raises(polylab.UsageError):
+            OverlapSpec(l=3, k=1, x=math.inf)
 
 
 class TestOverlapProbabilityExact:
@@ -192,6 +195,11 @@ class TestOverlapProbabilityMc:
     def test_rejects_few_trials(self):
         with pytest.raises(ValueError):
             stochastics.overlap_probability_mc(OverlapSpec(3, 1, 1.0), 10**3, seed=0)
+
+    @pytest.mark.parametrize("seed", (-1, 2**64))
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(polylab.UsageError):
+            stochastics.overlap_probability_mc(OverlapSpec(3, 1, 1.0), 10**4, seed)
 
 
 class TestShiftInequality:
