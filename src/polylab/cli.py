@@ -45,15 +45,16 @@ def _write(args, payload: dict, header=None, rows=None) -> None:
     """Write `payload` as JSON, or `rows` under `header` as CSV, to stdout or `--out`.
 
     Without `header`, the CSV is the payload's keys over one row of its values.
+    Stdout and `--out` receive the same bytes.
     """
     if args.format == "json":
-        text = json.dumps(_json_ready(payload), indent=2)
+        text = json.dumps(_json_ready(payload), indent=2) + "\n"
     else:
         if header is None:
             header, rows = payload.keys(), [payload.values()]
         text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
     if args.out is None or args.out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         try:
             fh = open(args.out, "w")
@@ -169,18 +170,15 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_analyze(args) -> int:
     sup = None if args.lopt is None else geometry.theta_hat_sup(args.grid_step, args.lopt)
-    report = geometry.verify_scalar_claims(args.grid_step)
-    payload = {
-        "grid_step": report.grid_step,
-        "items": [dataclasses.asdict(it) for it in report.items],
-        "all_passed": report.all_passed,
-    }
-    rows = [[it.name, it.passed, f'"{it.detail}"'] for it in report.items]
+    items = geometry.verify_scalar_claims(args.grid_step)
+    all_passed = all(it.passed for it in items)
+    payload = {"grid_step": args.grid_step, "items": [it._asdict() for it in items], "all_passed": all_passed}
+    rows = [[it.name, it.passed, f'"{it.detail}"'] for it in items]
     if sup is not None:
         payload.update(l_opt=args.lopt, theta_hat_sup=sup)
         rows.append([f"theta_hat_sup_at_{args.lopt}", sup, None])
     _write(args, payload, ["name", "passed", "detail"], rows)
-    return 1 if not report.all_passed else 0
+    return 0 if all_passed else 1
 
 
 def _cmd_overlap(args) -> int:

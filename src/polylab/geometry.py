@@ -14,6 +14,7 @@ grids.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import UsageError
 from .constants import E, L
@@ -307,21 +308,10 @@ def substrand_identities(cg: CoarseGraining, j: int) -> dict[str, tuple[float, f
     }
 
 
-@dataclass(frozen=True)
-class ScalarClaimItem:
+class ScalarClaimItem(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-
-@dataclass(frozen=True)
-class ScalarClaimsReport:
-    grid_step: float
-    items: tuple[ScalarClaimItem, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
 
 
 def _log_second_differences(f, lo: float, hi: float, h: float):
@@ -334,8 +324,8 @@ def _log_second_differences(f, lo: float, hi: float, h: float):
         yield x, (math.log(f(min(x + h, hi))) - 2.0 * math.log(f(x)) + math.log(f(x - h))) / (h * h)
 
 
-def verify_scalar_claims(grid_step: float = 1e-4) -> ScalarClaimsReport:
-    """Grid verification of the scalar envelope claims.
+def verify_scalar_claims(grid_step: float) -> tuple[ScalarClaimItem, ...]:
+    """Grid verification of the scalar envelope claims, one item per claim.
 
     (a) sup theta_hat <= 1 on [0,1] at l_opt in {1.24, 1.25};
     (b) theta_hat(x) <= exp(-x/100) on (0, 0.2] at both endpoints;
@@ -387,4 +377,4 @@ def verify_scalar_claims(grid_step: float = 1e-4) -> ScalarClaimsReport:
             f"g1(0.12)={g1(0.12):.6f} g1(0.73)={g1(0.73):.6f} g2(0.71)={g2(0.71):.6f} g2(1)={g2(1.0):.1f}",
         )
     )
-    return ScalarClaimsReport(grid_step=grid_step, items=tuple(items))
+    return tuple(items)

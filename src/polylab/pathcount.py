@@ -112,6 +112,7 @@ def identity_remainder_bound(n: int, x: float, l_max: int) -> float:
     """
     if not 0 < x < math.inf:
         raise UsageError(f"x must be positive and finite, got {x}")
+    _require_distance(n, 0)
     nx = n * x
     if nx >= l_max + 2:
         raise UsageError(f"l_max={l_max} too small for remainder bound at n*x={nx:.3f}")
@@ -267,9 +268,10 @@ def concentration_tail_mass(n: int, eps: float, a: float) -> tuple[float, float]
     """
     if not 0.0 < eps < 0.3:
         raise UsageError(f"eps must lie in (0, 0.3), got {eps}")
-    if a < 0.0:
+    if not 0.0 <= a < math.inf:
         # a = 0 is allowed: the two tails then partition the full series
-        raise UsageError(f"a must be nonnegative, got {a}")
+        raise UsageError(f"a must be nonnegative and finite, got {a}")
+    _require_distance(n, n)
     x = E + eps * eps
     lower_cut = math.floor((L - a * eps) * n)
     upper_cut = math.ceil((L + a * eps) * n)

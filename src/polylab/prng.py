@@ -52,16 +52,15 @@ def exponential(seed: int, a: int, b: int) -> float:
 
 
 def mix64_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array of first keys.
+    """Vectorized mix64 over a 1-D uint64 array of first keys.
 
-    The second key is one int for every entry, or a uint64 array of a's shape.
+    The second key, one int or a uint64 array of a's shape, is taken as an
+    array that broadcasts against a (an int becomes one element), so its
+    uint64 arithmetic wraps modulo 2^64 like the scalar masks.
     """
-    if isinstance(b, np.ndarray):
-        b_term = (b.astype(np.uint64, copy=False) + np.uint64(1)) * np.uint64(_KEY_B)
-    else:
-        b_term = np.uint64(((b + 1) * _KEY_B) & _MASK64)
+    b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
     z = np.uint64(seed) ^ (a.astype(np.uint64) * np.uint64(_KEY_A))
-    z = z ^ b_term
+    z = z ^ ((b + np.uint64(1)) * np.uint64(_KEY_B))
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX_1)
     z = z ^ (z >> np.uint64(27))

@@ -344,12 +344,9 @@ def ground_state(instance: HypercubeInstance) -> PolymerPath:
     ball search labels only two small balls around the corners (radii
     summing to m_n ~ 0.9), growing the smaller one per phase and relaxing a
     whole frontier of it per numpy round with weights drawn on demand, so
-    its time and memory scale with those balls, not with 2^n: a fresh
-    `simulate --trials 1` process at n = 20/22/24/26 takes about
-    0.9/1.2/1.5/1.8 s and peaks at 86/108/129/144 MiB on a 2-vCPU x86 host,
-    of which about 0.8 s and 80 MiB are the numpy and scipy imports.  Both engines find the same minimizer, and its energy is
-    the path-order weight sum, which both engines and the exhaustive oracle
-    reproduce bit-for-bit.
+    its time and memory scale with those balls, not with 2^n.  Both engines
+    find the same minimizer, and its energy is the path-order weight sum,
+    which both engines and the exhaustive oracle reproduce bit-for-bit.
     Any vertex repeat could be spliced out for a cheaper path, so
     minimizers are loopless.
     """
@@ -508,10 +505,10 @@ def run_trials(
     if parallelism < 1:
         raise UsageError(f"parallelism must be positive, got {parallelism}")
     prng.require_seeds(base_seed, trials)
-    if parallelism == 1:
+    if parallelism == 1:  # a 1-worker pool raised peak RSS by 6-7 MiB in 8 s runs of simulate --n 20
         records = [run_trial(n, base_seed + t, t) for t in range(trials)]
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        with ThreadPoolExecutor(max_workers=min(parallelism, trials)) as pool:
             records = list(pool.map(lambda t: run_trial(n, base_seed + t, t), range(trials)))
     return records, aggregate_records(records, base_seed)
 
@@ -540,7 +537,7 @@ def directed_overlap_table(n: int) -> list[int]:
 
 
 def trial_record_json_dict(record: TrialRecord) -> dict:
-    """JSON-ready dict, one object per trial; empty profile bins become null."""
+    """One flat dict per trial; empty profile bins stay NaN, which the writer blanks."""
     return {
         "n": record.n,
         "seed": record.seed,
@@ -549,10 +546,7 @@ def trial_record_json_dict(record: TrialRecord) -> dict:
         "length": record.length,
         "backsteps": record.backstep_count,
         "e_first_half": record.first_half_energy,
-        **{
-            f"bin_{i:02d}": (None if math.isnan(v) else v)
-            for i, v in enumerate(record.profile_bins)
-        },
+        **{f"bin_{i:02d}": v for i, v in enumerate(record.profile_bins)},
     }
 
 

@@ -47,8 +47,8 @@ def erlang_tail_ratio(l: int, x: float) -> float:
     """
     if l < 1:
         raise UsageError(f"l must be positive, got {l}")
-    if not x > 0.0:
-        raise UsageError(f"x must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise UsageError(f"x must be positive and finite, got {x}")
     term = 1.0
     total = 0.0
     m = 1
@@ -70,8 +70,8 @@ def erlang_cdf(l: int, x: float) -> float:
     """
     if l < 1:
         raise UsageError(f"l must be positive, got {l}")
-    if x < 0.0:
-        raise UsageError(f"x must be nonnegative, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise UsageError(f"x must be nonnegative and finite, got {x}")
     if x == 0.0:
         return 0.0
     if x < l:
@@ -165,19 +165,10 @@ def overlap_probability_mc(spec: OverlapSpec, trials: int, seed: int) -> McEstim
     prng.require_seeds(seed)
     l, k, x = spec.l, spec.k, spec.x
     idx = np.arange(trials, dtype=np.uint64)
-    trunk = np.zeros(trials)
-    first = np.zeros(trials)
-    second = np.zeros(trials)
-    component = 0
-    for _ in range(k):
-        trunk += prng.exponential_array(seed, idx, component)
-        component += 1
-    for _ in range(l - k):
-        first += prng.exponential_array(seed, idx, component)
-        component += 1
-    for _ in range(l - k):
-        second += prng.exponential_array(seed, idx, component)
-        component += 1
+    sums = np.zeros((3, trials))  # trunk, first completion, second completion
+    for component, row in enumerate([0] * k + [1] * (l - k) + [2] * (l - k)):
+        sums[row] += prng.exponential_array(seed, idx, component)
+    trunk, first, second = sums
     hits = (trunk + first <= x) & (trunk + second <= x)
     estimate = float(hits.mean())
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

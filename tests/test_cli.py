@@ -39,6 +39,30 @@ class TestCount:
         assert code == 0
         assert out == "n,l,d,count\n3,3,1,7\n"
 
+    def test_engine_fault_exits_1(self, capsys, monkeypatch):
+        def stanley_count(n, l, d):
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr(cli.pathcount, "stanley_count", stanley_count)
+        assert run_cli(capsys, "count", "--n", "2", "--l", "2", "--d", "2") == (
+            1, "", "polylab: ArithmeticError: boom\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "2", "--l", "2", "--d", "2"],
+        ["simulate", "--n", "5", "--trials", "2", "--seed", "9", "--format", "csv"],
+    ],
+    ids=["json", "csv"],
+)
+def test_out_writes_the_stdout_bytes(argv, capsys, tmp_path):
+    _, out, _ = run_cli(capsys, *argv)
+    out_file = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == out.encode()
+
 
 class TestIdentity:
     def test_residual_within_tolerance(self, capsys):
@@ -240,3 +264,10 @@ class TestVerify:
         assert "overall: PASS" in out
         assert out.count("PASS") == len(checks.CHECKS) + 1  # one per check plus the overall line
         assert "FAIL" not in out
+
+    def test_crashed_check_fails(self, capsys, monkeypatch):
+        def crash():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(checks, "CHECKS", (checks.Check("crash", crash, (), ()),))
+        assert run_cli(capsys, "verify", "--fast") == (1, "crash  FAIL  error: boom\noverall: FAIL\n", "")

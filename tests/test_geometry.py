@@ -260,12 +260,12 @@ class TestScalarBranches:
 
 class TestVerifyScalarClaims:
     def test_all_items_pass_fine_grid(self):
-        report = geometry.verify_scalar_claims(1e-4)
-        assert report.all_passed, [it for it in report.items if not it.passed]
-        assert len(report.items) == 5
+        items = geometry.verify_scalar_claims(1e-4)
+        assert all(it.passed for it in items), [it for it in items if not it.passed]
+        assert len(items) == 5
 
     def test_all_items_pass_coarse_grid(self):
-        assert geometry.verify_scalar_claims(1e-3).all_passed
+        assert all(it.passed for it in geometry.verify_scalar_claims(1e-3))
 
     def test_g2_not_convex_below_claimed_interval(self):
         # widening the g2 convexity window to [0, 1] must fail: the second

@@ -141,6 +141,10 @@ class TestIdentityResidual:
         with pytest.raises(polylab.UsageError):
             pathcount.identity_residual(0, 0, 1.0, 60)
 
+    def test_remainder_bound_rejects_empty_dimension(self):
+        with pytest.raises(polylab.UsageError):
+            pathcount.identity_remainder_bound(0, 1.0, 60)
+
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_x_outside_positive_reals(self, x):
         with pytest.raises(ValueError):
@@ -307,3 +311,13 @@ class TestConcentrationTailMass:
             pathcount.concentration_tail_mass(20, 0.0, 1.0)
         with pytest.raises(ValueError):
             pathcount.concentration_tail_mass(20, 0.31, 1.0)
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_rejects_empty_dimension(self, n):
+        with pytest.raises(polylab.UsageError):
+            pathcount.concentration_tail_mass(n, 0.2, 2.5)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_rejects_a_that_is_not_finite(self, a):
+        with pytest.raises(polylab.UsageError):
+            pathcount.concentration_tail_mass(20, 0.2, a)

@@ -21,6 +21,11 @@ class TestErlangCdf:
     def test_no_mass_at_zero(self):
         assert stochastics.erlang_cdf(5, 0.0) == 0.0
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_x_that_is_not_finite(self, x):
+        with pytest.raises(polylab.UsageError):
+            stochastics.erlang_cdf(3, x)
+
     def test_against_regularized_gamma(self):
         # scipy's incomplete gamma is the independent reference implementation
         for l in (1, 2, 5, 10, 30, 50):
@@ -48,6 +53,10 @@ class TestErlangTailRatio:
         ratio = stochastics.erlang_tail_ratio(2, 0.1)
         assert ratio == pytest.approx(0.1 / 3.0, rel=0.05)
         assert ratio > 0.1 / 3.0  # the series only adds positive terms
+
+    def test_rejects_infinite_x(self):
+        with pytest.raises(polylab.UsageError):
+            stochastics.erlang_tail_ratio(3, math.inf)
 
     def test_bound_over_full_grid(self):
         for l in range(1, 51):
