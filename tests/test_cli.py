@@ -16,6 +16,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh_process(*argv):
+    """(exit code, stdout, peak RSS in MiB) of `main(argv)` in a new interpreter."""
+    src = str(Path(polylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import resource, sys; from polylab.cli import main; status = main(sys.argv[1:]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(status)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+
+
 class TestCount:
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "2", "--l", "2", "--d", "2")
@@ -141,6 +153,16 @@ class TestOverlap:
         payload = json.loads(out)
         assert abs(payload["mc_estimate"] - payload["exact"]) <= 5 * payload["mc_stderr"] + 1e-3
 
+    def test_ten_million_trials_peak_memory(self):
+        # a fresh process peaked at 82 MiB, numpy and scipy imports included,
+        # on a 2-vCPU x86 host (81 MiB with no trials); the bound is 1.5x
+        # that.  Drawing every trial at once had peaked at 539 MiB.
+        argv = ("overlap", "--l", "4", "--k", "2", "--x", "1.0", "--mc-trials", "10000000", "--seed", "3")
+        code, out, peak_mib = run_fresh_process(*argv)
+        assert code == 0
+        assert json.loads(out)["mc_estimate"] == 0.0024838
+        assert peak_mib < 1.5 * 82
+
 
 class TestSimulate:
     def test_json_deterministic(self, capsys):
@@ -198,16 +220,9 @@ class TestSimulate:
     def test_n24_peak_memory(self):
         # a fresh process peaked at 129 MiB, numpy and scipy imports included,
         # on a 2-vCPU x86 host; the bound is 1.5x that
-        src = str(Path(polylab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        code = (
-            "import resource, sys; from polylab.cli import main; status = main(sys.argv[1:]); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(status)"
-        )
-        argv = [sys.executable, "-c", code, "simulate", "--n", "24", "--trials", "1", "--seed", "0"]
-        proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300)
-        assert proc.returncode == 0
-        assert int(proc.stderr.split()[-1]) / 1024 < 1.5 * 129  # ru_maxrss is in KiB on Linux
+        code, _, peak_mib = run_fresh_process("simulate", "--n", "24", "--trials", "1", "--seed", "0")
+        assert code == 0
+        assert peak_mib < 1.5 * 129
 
 
 @pytest.mark.parametrize(

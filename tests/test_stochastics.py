@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 import polylab
-from polylab import stochastics
+from polylab import prng, stochastics
 from polylab.constants import E
-from polylab.stochastics import OverlapSpec
+from polylab.stochastics import McEstimate, OverlapSpec
 
 
 class TestErlangCdf:
@@ -183,6 +184,23 @@ class TestOverlapProbabilityLeading:
             stochastics.overlap_probability_leading(OverlapSpec(4, 4, 1.0))
 
 
+def _full_array_mc(spec: OverlapSpec, trials: int, seed: int) -> McEstimate:
+    """The oracle without culling: every component drawn for every trial at once."""
+    l, k, x = spec.l, spec.k, spec.x
+    idx = np.arange(trials, dtype=np.uint64)
+    sums = np.zeros((3, trials))  # trunk, first completion, second completion
+    for component, row in enumerate([0] * k + [1] * (l - k) + [2] * (l - k)):
+        sums[row] += prng.exponential_array(seed, idx, component)
+    trunk, first, second = sums
+    hits = (trunk + first <= x) & (trunk + second <= x)
+    estimate = float(hits.mean())
+    return McEstimate(estimate=estimate, stderr=math.sqrt(estimate * (1.0 - estimate) / trials))
+
+
+# trial counts below, at and across the block boundaries of the default block
+_BLOCK_TRIALS = (10**4, 2**14, 2**14 + 1, 3 * 2**14 + 7)
+
+
 class TestOverlapProbabilityMc:
     def test_degenerate_full_overlap(self):
         est = stochastics.overlap_probability_mc(OverlapSpec(3, 3, 1.0), 10**6, seed=1)
@@ -200,6 +218,26 @@ class TestOverlapProbabilityMc:
         assert first == second
         third = stochastics.overlap_probability_mc(spec, 10**4, seed=12)
         assert third != first
+
+    # x = 50 culls no trial; 0.05 culls nearly all of them after one draw
+    @given(
+        lk=st.integers(min_value=1, max_value=8).flatmap(lambda l: st.tuples(st.just(l), st.integers(0, l))),
+        x=st.sampled_from((0.05, 0.5, E, 2.0, 50.0)),
+        seed=st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(min_value=0, max_value=2**64 - 1)),
+        trials=st.sampled_from(_BLOCK_TRIALS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_full_array_kernel(self, lk, x, seed, trials):
+        spec = OverlapSpec(*lk, x)
+        assert stochastics.overlap_probability_mc(spec, trials, seed) == _full_array_mc(spec, trials, seed)
+
+    @pytest.mark.parametrize("block", (1 << 10, 10**6))
+    @pytest.mark.parametrize("spec", (OverlapSpec(4, 2, 1.0), OverlapSpec(3, 3, E), OverlapSpec(5, 0, 2.0)))
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch, spec, block):
+        trials = _BLOCK_TRIALS[-1]
+        default = stochastics.overlap_probability_mc(spec, trials, seed=7)
+        monkeypatch.setattr(stochastics, "_MC_BLOCK", block)
+        assert stochastics.overlap_probability_mc(spec, trials, seed=7) == default
 
     def test_rejects_few_trials(self):
         with pytest.raises(ValueError):
