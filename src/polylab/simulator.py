@@ -4,11 +4,13 @@ Vertices are n-bit integers; the random environment attaches a strictly
 positive, reproducible Exp(1) weight to every edge through a splittable
 counter-based generator, so an instance is fully determined by (n, seed).
 Ground states are exact shortest paths from the all-zeros to the all-ones
-vertex: compiled sparse Dijkstra over the materialized weight table for
-n <= CSR_MAX_DIMENSION, and above it a bidirectional ball search that keeps
-one ball per corner, grows one of them per phase in vectorized
-Delta-stepping rounds, draws the weights of the edges it relaxes, and keeps
-state only for the two balls.
+vertex.  Both engines label a ball around each corner and stop once the two
+radii sum to at least the cheapest walk through an edge between the balls,
+which is then m_n.  For n <= CSR_MAX_DIMENSION, compiled sparse Dijkstra
+runs from both corners over the materialized weight table, bounded by a
+radius that grows until that holds; above it a ball search grows one ball
+per phase in vectorized Delta-stepping rounds, draws the weights of the
+edges it relaxes, and keeps state only for the two balls.
 Every engine returns one `PolymerPath`, built once from its vertex sequence:
 the constructor checks the walk and reads each step's edge weight, and the
 energy m_n, the steps and the backsteps are read off it.  `path_statistics`
@@ -22,6 +24,7 @@ directed paths.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
@@ -33,10 +36,11 @@ from . import UsageError, prng
 
 MAX_DIMENSION = 26
 # Largest n searched by compiled CSR Dijkstra; above it the ball search is
-# faster (mean ms per search over seeds 0-7, best of 3, on a 2-vCPU x86 host,
-# CSR vs ball search: 4.5 vs 5.7 at n=12, 10.8 vs 4.8 at n=13, 20.8 vs 8.4
-# at n=14, 58 vs 8.3 at n=15, 126 vs 11.5 at n=16).
-CSR_MAX_DIMENSION = 12
+# faster.  Mean ms per search, best of 5 interleaved passes on a 2-vCPU x86
+# host, CSR vs ball search: 1.2 vs 3.1 at n=11 and 1.7 vs 2.9 at n=12 (seeds
+# 0-99), 4.7 vs 5.4 at n=13 (seeds 0-199), 10.1 vs 5.3 at n=14 (seeds 0-59),
+# 22.7 vs 10.3 at n=15 (seeds 0-11).
+CSR_MAX_DIMENSION = 13
 
 PROFILE_BINS = 20
 BACKSTEP_DECILES = 10
@@ -141,23 +145,66 @@ class PolymerPath:
         return len(set(self.vertices)) == len(self.vertices)
 
 
+@lru_cache(maxsize=None)
+def _csr_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hypercube's CSR adjacency: neighbour `cols`, shape (2^n, n), and `indptr`.
+
+    One entry per n, read-only because every trial, on any thread, shares it.
+    """
+    size = 1 << n
+    cols = np.arange(size, dtype=np.int32)[:, None] ^ (np.int32(1) << np.arange(n, dtype=np.int32))
+    indptr = np.arange(0, size * n + 1, n, dtype=np.int32)
+    cols.flags.writeable = indptr.flags.writeable = False
+    return cols, indptr
+
+
+# Radius of the first CSR search, set by measurement: the balls meet near
+# m_n / 2, about 0.55 at n = 12-14.  Over seeds 0-199, 0.6 took 1.30, 1.21
+# and 1.23 Dijkstra calls per search at n = 12, 13 and 14, and E / 2 took
+# 1.85-1.90.  Per search (best of 5 interleaved passes over seeds 0-99),
+# 0.6 and 0.65 tied; 0.5, 0.8 and E / 2 were 15-30% slower at n = 12 and
+# 20-70% slower at n = 13.
+_CSR_START_RADIUS = 0.6
+
+
 def _csr_search(instance: HypercubeInstance) -> PolymerPath:
-    """Compiled single-source Dijkstra over the materialized (2^n, n) weight table."""
+    """Bounded compiled Dijkstra from both corners over the materialized (2^n, n) weight table.
+
+    Each call labels the vertices within `radius` of 0 and of the target
+    (scipy's `limit` is inclusive) and finds the cheapest walk through one
+    edge between the labelled sets, `upper`.  Once upper <= 2 * radius,
+    upper = m_n: on the optimal path, the last vertex u with d_0(u) <= m_n / 2
+    is labelled from 0 and its successor v, with d_1(v) < m_n / 2, from the
+    target.  Otherwise the radius becomes upper / 2, or doubles while no
+    walk was found, and the search runs again.
+    """
     n = instance.n
     size = instance.num_vertices
     table = weight_table(instance)
-    cols = (np.arange(size, dtype=np.int64)[:, None] ^ (np.int64(1) << np.arange(n, dtype=np.int64))[None, :]).ravel()
-    indptr = np.arange(0, size * n + 1, n, dtype=np.int64)
-    graph = csr_matrix((table.ravel(), cols, indptr), shape=(size, size))
-    _, pred = _csgraph_dijkstra(graph, indices=0, return_predecessors=True)
-    vertices = [instance.target]
-    while vertices[-1] != 0:
-        v = int(pred[vertices[-1]])
-        if v < 0:
-            raise ArithmeticError("target unreachable; the hypercube is connected")
-        vertices.append(v)
-    vertices.reverse()
-    return PolymerPath.from_vertices(instance, vertices)
+    cols, indptr = _csr_layout(n)
+    graph = csr_matrix((table.ravel(), cols.ravel(), indptr), shape=(size, size))
+    radius = _CSR_START_RADIUS
+    while True:
+        dist, pred = _csgraph_dijkstra(graph, indices=[0, instance.target], limit=radius, return_predecessors=True)
+        walks = dist[1][cols]  # built in place: each thread holds one (2^n, n) temporary
+        walks += table
+        walks += dist[0][:, None]
+        meet = int(walks.argmin())
+        upper = float(walks.flat[meet])
+        if upper <= 2 * radius:
+            break
+        radius = upper / 2 if math.isfinite(upper) else 2 * radius
+    u, v = meet // n, int(cols.flat[meet])
+    return PolymerPath.from_vertices(instance, _chain(pred[0], u)[::-1] + _chain(pred[1], v))
+
+
+def _chain(pred: np.ndarray, vertex: int) -> list[int]:
+    """The vertices from `vertex` back to the source of a scipy predecessor row."""
+    out = []
+    while vertex >= 0:
+        out.append(vertex)
+        vertex = int(pred[vertex])
+    return out
 
 
 def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,13 +385,14 @@ def _ball_search(instance: HypercubeInstance) -> PolymerPath:
 def ground_state(instance: HypercubeInstance) -> PolymerPath:
     """One minimal-energy path between the antipodal corners; m_n is its `energy`.
 
-    The engine follows from n alone.  Up to CSR_MAX_DIMENSION, compiled
-    sparse Dijkstra over the full weight table is fastest: its per-trial
-    cost is small and most of it runs in compiled code.  Above it, the
-    ball search labels only two small balls around the corners (radii
-    summing to m_n ~ 0.9), growing the smaller one per phase and relaxing a
-    whole frontier of it per numpy round with weights drawn on demand, so
-    its time and memory scale with those balls, not with 2^n.  Both engines
+    The engine follows from n alone.  Both label only two balls around the
+    corners, with radii summing to m_n ~ 0.9.  Up to CSR_MAX_DIMENSION,
+    bounded compiled sparse Dijkstra from both corners over the full weight
+    table is fastest: its per-trial cost is small and most of it runs in
+    compiled code, but building the table costs time and memory in 2^n.
+    Above it, the ball search grows the smaller ball per phase and relaxes
+    a whole frontier of it per numpy round with weights drawn on demand, so
+    its time and memory scale with the balls, not with 2^n.  Both engines
     find the same minimizer, and its energy is the path-order weight sum,
     which both engines and the exhaustive oracle reproduce bit-for-bit.
     Any vertex repeat could be spliced out for a cheaper path, so

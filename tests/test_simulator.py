@@ -159,6 +159,40 @@ class TestGroundState:
             assert path_bidi.energy == path_csr.energy, (n, seed)
             assert path_bidi.vertices == path_csr.vertices, (n, seed)
 
+    @pytest.mark.parametrize("start", [1e-3, math.inf], ids=["tiny", "unbounded"])
+    def test_csr_start_radius_does_not_change_the_path(self, monkeypatch, start):
+        expected = {
+            (n, seed): simulator._csr_search(HypercubeInstance(n=n, seed=seed))
+            for n in range(1, simulator.CSR_MAX_DIMENSION + 1)
+            for seed in (0, 1, 2, 2**64 - 1)
+        }
+        limits = []
+        dijkstra = simulator._csgraph_dijkstra
+
+        def recording(*args, limit, **kwargs):
+            limits.append(limit)
+            return dijkstra(*args, limit=limit, **kwargs)
+
+        monkeypatch.setattr(simulator, "_CSR_START_RADIUS", start)
+        monkeypatch.setattr(simulator, "_csgraph_dijkstra", recording)
+        for (n, seed), path in expected.items():
+            got = simulator._csr_search(HypercubeInstance(n=n, seed=seed))
+            assert (got.vertices, got.energy) == (path.vertices, path.energy), (n, seed)
+        if start == math.inf:
+            assert limits == [math.inf] * len(expected)  # one unbounded call per search
+        else:
+            doublings = [math.log2(limit / start) for limit in limits]
+            assert 1.0 in doublings  # a search that found no walk doubled its radius
+            assert any(d % 1 for d in doublings)  # and one that found a walk took half its cost
+
+    def test_csr_layout_is_shared_and_read_only(self):
+        cols, indptr = simulator._csr_layout(5)
+        assert simulator._csr_layout(5)[0] is cols
+        assert cols.shape == (32, 5) and cols[0b10110, 3] == 0b11110
+        for array in (cols, indptr):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
     # (m_n, steps) of the compiled CSR engine, which searched every n before
     # the bidirectional search took over above CSR_MAX_DIMENSION; (12, *) and
     # (13, 0) are from its single-source form, which labelled the whole cube
@@ -320,11 +354,13 @@ class TestRunTrials:
         assert len(summary.backstep_decile_mean) == 10
 
     def test_parallelism_does_not_change_output(self):
-        serial_records, serial_summary = simulator.run_trials(8, 8, base_seed=7, parallelism=1)
-        parallel_records, parallel_summary = simulator.run_trials(8, 8, base_seed=7, parallelism=4)
-        # repr-level comparison: nan-valued empty bins defeat == on floats
-        assert repr(serial_records) == repr(parallel_records)
-        assert repr(serial_summary) == repr(parallel_summary)
+        for n, trials, parallelism in ((8, 8, 4), (12, 6, 2)):
+            serial_records, serial_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=1)
+            simulator._csr_layout.cache_clear()  # the threads race to build the layout they share
+            parallel_records, parallel_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=parallelism)
+            # repr-level comparison: nan-valued empty bins defeat == on floats
+            assert repr(serial_records) == repr(parallel_records), n
+            assert repr(serial_summary) == repr(parallel_summary), n
 
     def test_pool_never_outnumbers_trials(self, monkeypatch):
         asked = []
