@@ -195,11 +195,15 @@ class TestGroundState:
 
     # (m_n, steps) of the compiled CSR engine, which searched every n before
     # the bidirectional search took over above CSR_MAX_DIMENSION; (12, *) and
-    # (13, 0) are from its single-source form, which labelled the whole cube
+    # (13, 0) are from its single-source form, which labelled the whole cube,
+    # and (14, *) from the ball search, which searched n = 14 when they were
+    # pinned
     FROZEN_CSR = {
         (12, 0): (1.2787375427876255, (7, 10, 11, 5, 12, 2, 6, 4, 1, 9, 8, 3)),
         (12, 1): (1.0770808010020059, (12, 4, -12, 9, 7, 5, -7, 3, 10, 7, 2, 11, 8, 1, 12, 6)),
         (13, 0): (1.102131982241516, (8, 7, 13, 3, 6, 1, 2, 10, 5, 12, 4, 11, 9)),
+        (14, 0): (1.0827415589643317, (6, 10, 8, 3, 5, 1, 4, 9, 13, 2, 11, -4, 14, 12, 7, 4)),
+        (14, 1): (1.024675441986012, (12, 4, 1, 14, -4, 7, 10, 6, 13, 9, 11, 4, 2, 8, 5, 3)),
         (15, 0): (1.0709965982336396, (8, 7, 13, 3, 6, 2, 15, 4, 14, 9, 5, -8, 11, 8, 12, 10, 1)),
         (15, 1): (1.0295319902959377, (12, 4, 1, 14, 15, 5, 6, 2, 7, 9, 3, 10, 13, 11, -13, 8, 13)),
         (15, 2): (1.1892406918273066, (11, 5, 13, 6, 8, 9, 12, 3, 14, 2, -5, -6, 4, 1, 5, 7, -13, 10, -3, 15, 3, 6, 13)),
