@@ -7,10 +7,12 @@ Ground states are exact shortest paths from the all-zeros to the all-ones
 vertex.  Both engines label a ball around each corner and stop once the two
 radii sum to at least the cheapest walk through an edge between the balls,
 which is then m_n.  For n <= CSR_MAX_DIMENSION, compiled sparse Dijkstra
-runs from both corners over the materialized weight table, bounded by a
-radius that grows until that holds; above it a ball search grows one ball
-per phase in vectorized Delta-stepping rounds, draws the weights of the
-edges it relaxes, and keeps state only for the two balls.
+runs from both corners over the materialized weight table, which draws
+each edge once, bounded by a radius that grows until that holds, and the
+cheapest such walk is read off the rows labelled from 0 alone; above it a
+ball search grows one ball per phase in vectorized Delta-stepping rounds,
+draws the weights of the edges it relaxes, and keeps state only for the
+two balls.
 Every engine returns one `PolymerPath`, built once from its vertex sequence:
 the constructor checks the walk and reads each step's edge weight, and the
 energy m_n, the steps and the backsteps are read off it.  `path_statistics`
@@ -37,10 +39,17 @@ from . import UsageError, prng
 MAX_DIMENSION = 26
 # Largest n searched by compiled CSR Dijkstra; above it the ball search is
 # faster.  Mean ms per search, best of 5 interleaved passes on a 2-vCPU x86
-# host, CSR vs ball search: 1.2 vs 3.1 at n=11 and 1.7 vs 2.9 at n=12 (seeds
-# 0-99), 4.7 vs 5.4 at n=13 (seeds 0-199), 10.1 vs 5.3 at n=14 (seeds 0-59),
-# 22.7 vs 10.3 at n=15 (seeds 0-11).
-CSR_MAX_DIMENSION = 13
+# host whose speed swings 1.5x, CSR vs ball search (ranges over repeated
+# runs):
+#
+#   n    seeds   CSR         ball search
+#   11   0-99    0.57-0.75   2.86-3.61
+#   12   0-99    1.07-1.45   2.96-4.41
+#   13   0-99    1.71-2.06   3.70-5.16
+#   14   0-99    4.71-6.34   5.39-8.00   (CSR faster in 5 of 5 runs)
+#   15   0-23    10.8-15.3   6.59-10.1
+#   16   0-11    37.9        12.6
+CSR_MAX_DIMENSION = 14
 
 PROFILE_BINS = 20
 BACKSTEP_DECILES = 10
@@ -86,13 +95,37 @@ def edge_weight(instance: HypercubeInstance, vertex: int, dim: int) -> float:
     return prng.exponential(instance.seed, canonical, dim)
 
 
+@lru_cache(maxsize=None)
+def _edge_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prng keys of each edge, once: its lower endpoint and its dimension, dim by dim.
+
+    Both are 1-D, 2^(n-1) * n long, in the order `weight_table` writes the
+    weights: for each dim d, the vertices with bit d clear, increasing.
+    One entry per n, read-only like `_csr_layout`.
+    """
+    half = np.arange(1 << (n - 1), dtype=np.int64)
+    low = np.concatenate([((half >> d) << (d + 1)) | (half & ((1 << d) - 1)) for d in range(n)])
+    dims = np.repeat(np.arange(n, dtype=np.uint64), 1 << (n - 1))
+    low.flags.writeable = dims.flags.writeable = False
+    return low, dims
+
+
 def weight_table(instance: HypercubeInstance) -> np.ndarray:
-    """All edge weights as a (2^n, n) array; entry [v, d] = edge_weight(v, d)."""
+    """All edge weights as a (2^n, n) array; entry [v, d] weighs the edge of `edge_weight(v, d)`.
+
+    Each edge is drawn once, keyed by its lower endpoint as `edge_weight`
+    keys it, in one `prng.exponential_array` call, and written to both
+    endpoints through a strided view: along dim d the table splits into
+    blocks of 2^d rows with bit d clear, each followed by its 2^d partners
+    with bit d set.
+    """
     n = instance.n
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    canonical = (np.arange(instance.num_vertices, dtype=np.int64)[:, None] & ~bits).ravel()
-    dims = np.tile(np.arange(n, dtype=np.uint64), instance.num_vertices)
-    return prng.exponential_array(instance.seed, canonical, dims).reshape(instance.num_vertices, n)
+    low, dims = _edge_keys(n)
+    weights = prng.exponential_array(instance.seed, low, dims)
+    table = np.empty((instance.num_vertices, n))
+    for d, drawn in enumerate(weights.reshape(n, -1)):
+        table.reshape(-1, 2, 1 << d, n)[..., d] = drawn.reshape(-1, 1, 1 << d)
+    return table
 
 
 @dataclass(frozen=True)
@@ -172,7 +205,10 @@ def _csr_search(instance: HypercubeInstance) -> PolymerPath:
 
     Each call labels the vertices within `radius` of 0 and of the target
     (scipy's `limit` is inclusive) and finds the cheapest walk through one
-    edge between the labelled sets, `upper`.  Once upper <= 2 * radius,
+    edge between the labelled sets, `upper`, scanning only the rows
+    labelled from 0: every other row's walks cost inf, and the kept rows
+    stay in increasing order, so argmin picks the edge a scan of the whole
+    table would.  Once upper <= 2 * radius,
     upper = m_n: on the optimal path, the last vertex u with d_0(u) <= m_n / 2
     is labelled from 0 and its successor v, with d_1(v) < m_n / 2, from the
     target.  Otherwise the radius becomes upper / 2, or doubles while no
@@ -186,15 +222,17 @@ def _csr_search(instance: HypercubeInstance) -> PolymerPath:
     radius = _CSR_START_RADIUS
     while True:
         dist, pred = _csgraph_dijkstra(graph, indices=[0, instance.target], limit=radius, return_predecessors=True)
-        walks = dist[1][cols]  # built in place: each thread holds one (2^n, n) temporary
-        walks += table
-        walks += dist[0][:, None]
+        rows = np.flatnonzero(np.isfinite(dist[0]))  # labelled from 0, increasing
+        walks = dist[1][cols[rows]]
+        walks += table[rows]
+        walks += dist[0][rows, None]
         meet = int(walks.argmin())
         upper = float(walks.flat[meet])
         if upper <= 2 * radius:
             break
         radius = upper / 2 if math.isfinite(upper) else 2 * radius
-    u, v = meet // n, int(cols.flat[meet])
+    u = int(rows[meet // n])
+    v = int(cols[u, meet % n])
     return PolymerPath.from_vertices(instance, _chain(pred[0], u)[::-1] + _chain(pred[1], v))
 
 
@@ -389,7 +427,8 @@ def ground_state(instance: HypercubeInstance) -> PolymerPath:
     corners, with radii summing to m_n ~ 0.9.  Up to CSR_MAX_DIMENSION,
     bounded compiled sparse Dijkstra from both corners over the full weight
     table is fastest: its per-trial cost is small and most of it runs in
-    compiled code, but building the table costs time and memory in 2^n.
+    compiled code, but drawing the table's 2^(n-1) * n edges costs time and
+    memory in 2^n, and from n = 12 on it takes half a search or more.
     Above it, the ball search grows the smaller ball per phase and relaxes
     a whole frontier of it per numpy round with weights drawn on demand, so
     its time and memory scale with the balls, not with 2^n.  Both engines

@@ -37,11 +37,35 @@ class TestEdgeWeight:
         assert sorted(t1.ravel()) != sorted(t2.ravel())
 
     def test_table_matches_scalar(self):
-        inst = HypercubeInstance(n=6, seed=77)
-        table = simulator.weight_table(inst)
-        for vertex in range(1 << 6):
-            for dim in range(6):
-                assert table[vertex, dim] == simulator.edge_weight(inst, vertex, dim)
+        for n in range(1, 9):
+            for seed in (0, 77, 2**64 - 1):
+                inst = HypercubeInstance(n=n, seed=seed)
+                table = simulator.weight_table(inst)
+                scalar = np.array([[simulator.edge_weight(inst, v, d) for d in range(n)] for v in range(1 << n)])
+                # every entry drawn with the key edge_weight uses, from either endpoint
+                canonical = np.arange(1 << n)[:, None] & ~(1 << np.arange(n))
+                keyed = simulator.prng.exponential_array(seed, canonical.ravel(), np.tile(np.arange(n, dtype=np.uint64), 1 << n))
+                assert np.array_equal(table, keyed.reshape(table.shape)), (n, seed)
+                # numpy's log may round differently from math.log in the last place
+                assert np.all(np.abs(table - scalar) <= np.spacing(scalar)), (n, seed)
+
+    @pytest.mark.parametrize("n", (1, 5, 12))
+    def test_table_draws_each_edge_once(self, monkeypatch, n):
+        calls = []
+        draw = simulator.prng.exponential_array
+
+        def counting(seed, a, b):
+            calls.append((a.shape, np.shape(b)))
+            return draw(seed, a, b)
+
+        monkeypatch.setattr(simulator.prng, "exponential_array", counting)
+        simulator.weight_table(HypercubeInstance(n=n, seed=3))
+        edges = (1 << (n - 1)) * n
+        assert calls == [((edges,), (edges,))]  # one call, 1-D keys and dims
+        low, dims = simulator._edge_keys(n)
+        with pytest.raises(ValueError):
+            low[0] = 1
+        assert simulator._edge_keys(n)[1] is dims
 
     def test_array_second_keys_match_scalar(self):
         dims = np.arange(26, dtype=np.uint64)
@@ -51,6 +75,31 @@ class TestEdgeWeight:
                 keys = np.array([vertex & ~(1 << d) for d in range(26)], dtype=np.uint64)
                 expected = [simulator.edge_weight(inst, vertex, d) for d in range(26)]
                 assert simulator.prng.exponential_array(seed, keys, dims).tolist() == expected
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40),
+        unsigned=st.booleans(),
+        second=st.one_of(
+            st.integers(min_value=0, max_value=2**64 - 1),
+            st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=40, max_size=40),
+        ),
+    )
+    @settings(max_examples=200)
+    def test_array_draws_match_scalar(self, seed, keys, unsigned, second):
+        prng = simulator.prng
+        if not unsigned:  # int64 keys, read modulo 2^64 like the scalar's masks
+            keys = [k - 2**64 if k >= 2**63 else k for k in keys]
+        a = np.array(keys, dtype=np.uint64 if unsigned else np.int64)
+        b = second if isinstance(second, int) else np.array(second[: len(keys)], dtype=np.uint64)
+        pairs = [(k, second if isinstance(second, int) else second[i]) for i, k in enumerate(keys)]
+        assert prng.mix64_array(seed, a, b).tolist() == [prng.mix64(seed, k, j) for k, j in pairs]
+        uniform = prng.uniform01_array(seed, a, b)
+        assert uniform.tolist() == [prng.uniform01(seed, k, j) for k, j in pairs]
+        drawn = prng.exponential_array(seed, a, b)
+        assert drawn.tolist() == (-np.log(uniform)).tolist()
+        scalar = np.array([prng.exponential(seed, k, j) for k, j in pairs])
+        assert np.all(np.abs(drawn - scalar) <= np.spacing(scalar))  # numpy's log vs math.log
 
     def test_positive_where_the_uniform_rounds_to_one(self):
         # mix64(seed, 0, 0) = 2^64 - 1, so (mix64 + 0.5) * 2^-64 rounds to 1.0
@@ -360,7 +409,8 @@ class TestRunTrials:
     def test_parallelism_does_not_change_output(self):
         for n, trials, parallelism in ((8, 8, 4), (12, 6, 2)):
             serial_records, serial_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=1)
-            simulator._csr_layout.cache_clear()  # the threads race to build the layout they share
+            simulator._csr_layout.cache_clear()  # the threads race to build the layout and keys they share
+            simulator._edge_keys.cache_clear()
             parallel_records, parallel_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=parallelism)
             # repr-level comparison: nan-valued empty bins defeat == on floats
             assert repr(serial_records) == repr(parallel_records), n
