@@ -7,12 +7,11 @@ Ground states are exact shortest paths from the all-zeros to the all-ones
 vertex.  Both engines label a ball around each corner and stop once the two
 radii sum to at least the cheapest walk through an edge between the balls,
 which is then m_n.  For n <= CSR_MAX_DIMENSION, compiled sparse Dijkstra
-runs from both corners over the materialized weight table, which draws
-each edge once, bounded by a radius that grows until that holds, and the
-cheapest such walk is read off the rows labelled from 0 alone; above it a
-ball search grows one ball per phase in vectorized Delta-stepping rounds,
-draws the weights of the edges it relaxes, and keeps state only for the
-two balls.
+runs from both corners over the materialized weight table (each edge drawn
+once), bounded by a radius that grows until that holds, and the cheapest
+walk is read off the rows labelled from 0; above it a ball search grows
+one ball per phase in vectorized Delta-stepping rounds, draws the weights
+of the edges it relaxes, and keeps state only for the two balls.
 Every engine returns one `PolymerPath`, built once from its vertex sequence:
 the constructor checks the walk and reads each step's edge weight, and the
 energy m_n, the steps and the backsteps are read off it.  `path_statistics`
