@@ -54,39 +54,27 @@ def exponential(seed: int, a: int, b: int) -> float:
 
 
 def mix64_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a 1-D array of first keys (any integer dtype, taken modulo 2^64).
+    """Vectorized mix64 over a 1-D uint64 array of first keys.
 
     The second key, one int or a uint64 array of a's shape, is taken as an
     array that broadcasts against a (an int becomes one element), so its
-    uint64 arithmetic wraps modulo 2^64 like the scalar masks.  The seed is
-    folded into the second key's term, which leaves the xor unchanged, and
-    the rounds run in place with one scratch buffer.
+    uint64 arithmetic wraps modulo 2^64 like the scalar masks.
     """
     b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
-    z = np.multiply(a, np.uint64(_KEY_A), dtype=np.uint64, casting="unsafe")
-    keyed = b + np.uint64(1)
-    keyed *= np.uint64(_KEY_B)
-    keyed ^= np.uint64(seed)
-    z ^= keyed
-    del keyed  # freed first, so that the scratch buffer can take its memory while it is in cache
-    scratch = np.right_shift(z, np.uint64(30))
-    z ^= scratch
-    z *= np.uint64(_MIX_1)
-    np.right_shift(z, np.uint64(27), out=scratch)
-    z ^= scratch
-    z *= np.uint64(_MIX_2)
-    np.right_shift(z, np.uint64(31), out=scratch)
-    z ^= scratch
+    z = np.uint64(seed) ^ (a.astype(np.uint64) * np.uint64(_KEY_A))
+    z = z ^ ((b + np.uint64(1)) * np.uint64(_KEY_B))
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(_MIX_1)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(_MIX_2)
+    z = z ^ (z >> np.uint64(31))
     return z
 
 
 def uniform01_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
-    u = np.add(mix64_array(seed, a, b), 0.5)  # casts to float64 as astype does, in the same pass
-    u *= 2.0**-64
+    u = (mix64_array(seed, a, b).astype(np.float64) + 0.5) * 2.0**-64
     return np.minimum(u, _U_MAX, out=u)
 
 
 def exponential_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
-    u = uniform01_array(seed, a, b)
-    np.log(u, out=u)
-    return np.negative(u, out=u)
+    return -np.log(uniform01_array(seed, a, b))

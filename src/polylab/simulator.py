@@ -48,6 +48,9 @@ MAX_DIMENSION = 26
 #   14   0-99    4.71-6.34   5.39-8.00   (CSR faster in 5 of 5 runs)
 #   15   0-23    10.8-15.3   6.59-10.1
 #   16   0-11    37.9        12.6
+#
+# The move from 13 to 14 rests on these per-search timings alone: no
+# benchmark workload runs n = 13-15.
 CSR_MAX_DIMENSION = 14
 
 PROFILE_BINS = 20
@@ -94,21 +97,6 @@ def edge_weight(instance: HypercubeInstance, vertex: int, dim: int) -> float:
     return prng.exponential(instance.seed, canonical, dim)
 
 
-@lru_cache(maxsize=None)
-def _edge_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The prng keys of each edge, once: its lower endpoint and its dimension, dim by dim.
-
-    Both are 1-D, 2^(n-1) * n long, in the order `weight_table` writes the
-    weights: for each dim d, the vertices with bit d clear, increasing.
-    One entry per n, read-only like `_csr_layout`.
-    """
-    half = np.arange(1 << (n - 1), dtype=np.int64)
-    low = np.concatenate([((half >> d) << (d + 1)) | (half & ((1 << d) - 1)) for d in range(n)])
-    dims = np.repeat(np.arange(n, dtype=np.uint64), 1 << (n - 1))
-    low.flags.writeable = dims.flags.writeable = False
-    return low, dims
-
-
 def weight_table(instance: HypercubeInstance) -> np.ndarray:
     """All edge weights as a (2^n, n) array; entry [v, d] weighs the edge of `edge_weight(v, d)`.
 
@@ -119,7 +107,7 @@ def weight_table(instance: HypercubeInstance) -> np.ndarray:
     with bit d set.
     """
     n = instance.n
-    low, dims = _edge_keys(n)
+    low, dims = _csr_layout(n)[2:]
     weights = prng.exponential_array(instance.seed, low, dims)
     table = np.empty((instance.num_vertices, n))
     for d, drawn in enumerate(weights.reshape(n, -1)):
@@ -178,16 +166,24 @@ class PolymerPath:
 
 
 @lru_cache(maxsize=None)
-def _csr_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hypercube's CSR adjacency: neighbour `cols`, shape (2^n, n), and `indptr`.
+def _csr_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The hypercube's CSR adjacency and the prng keys of its edges: `cols`, `indptr`, `low`, `dims`.
 
+    `cols`, shape (2^n, n), holds each vertex's neighbours.  `low` and
+    `dims`, 1-D and 2^(n-1) * n long, key each edge once by its lower
+    endpoint and its dimension, in the order `weight_table` writes the
+    weights: for each dim d, the vertices with bit d clear, increasing.
     One entry per n, read-only because every trial, on any thread, shares it.
     """
     size = 1 << n
     cols = np.arange(size, dtype=np.int32)[:, None] ^ (np.int32(1) << np.arange(n, dtype=np.int32))
     indptr = np.arange(0, size * n + 1, n, dtype=np.int32)
-    cols.flags.writeable = indptr.flags.writeable = False
-    return cols, indptr
+    half = np.arange(size >> 1, dtype=np.int64)
+    low = np.concatenate([((half >> d) << (d + 1)) | (half & ((1 << d) - 1)) for d in range(n)])
+    dims = np.repeat(np.arange(n, dtype=np.uint64), size >> 1)
+    for array in (cols, indptr, low, dims):
+        array.flags.writeable = False
+    return cols, indptr, low, dims
 
 
 # Radius of the first CSR search, set by measurement: the balls meet near
@@ -197,6 +193,15 @@ def _csr_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 # 0.6 and 0.65 tied; 0.5, 0.8 and E / 2 were 15-30% slower at n = 12 and
 # 20-70% slower at n = 13.
 _CSR_START_RADIUS = 0.6
+# Factor by which the radius grows while the two balls share no edge.  At
+# n = 12 one search in ten finds no walk at radius 0.6; its m_n lies in
+# 1.24-1.74 (seeds 0-599), so doubling to 1.2 labelled about 16 times the
+# vertices it needed.  Vertices labelled per search (both corners) over
+# seeds 0-399 at n = 12, 0-199 at n = 13 and 0-99 at n = 14, for factors
+# 2, 1.5, 1.4 and 1.3: 1389, 1033, 988, 965 at n = 12; 2101, 1723, 1676,
+# 1642 at n = 13; 3259, 2703, 2620, 2561 at n = 14, with 1.31-1.32, 1.21
+# and 1.20 Dijkstra calls per search at every factor.
+_CSR_GROWTH = 1.3
 
 
 def _csr_search(instance: HypercubeInstance) -> PolymerPath:
@@ -210,13 +215,13 @@ def _csr_search(instance: HypercubeInstance) -> PolymerPath:
     table would.  Once upper <= 2 * radius,
     upper = m_n: on the optimal path, the last vertex u with d_0(u) <= m_n / 2
     is labelled from 0 and its successor v, with d_1(v) < m_n / 2, from the
-    target.  Otherwise the radius becomes upper / 2, or doubles while no
-    walk was found, and the search runs again.
+    target.  Otherwise the radius becomes upper / 2, or grows by
+    _CSR_GROWTH while no walk was found, and the search runs again.
     """
     n = instance.n
     size = instance.num_vertices
     table = weight_table(instance)
-    cols, indptr = _csr_layout(n)
+    cols, indptr = _csr_layout(n)[:2]
     graph = csr_matrix((table.ravel(), cols.ravel(), indptr), shape=(size, size))
     radius = _CSR_START_RADIUS
     while True:
@@ -229,7 +234,7 @@ def _csr_search(instance: HypercubeInstance) -> PolymerPath:
         upper = float(walks.flat[meet])
         if upper <= 2 * radius:
             break
-        radius = upper / 2 if math.isfinite(upper) else 2 * radius
+        radius = upper / 2 if math.isfinite(upper) else _CSR_GROWTH * radius
     u = int(rows[meet // n])
     v = int(cols[u, meet % n])
     return PolymerPath.from_vertices(instance, _chain(pred[0], u)[::-1] + _chain(pred[1], v))

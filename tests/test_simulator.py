@@ -37,17 +37,23 @@ class TestEdgeWeight:
         assert sorted(t1.ravel()) != sorted(t2.ravel())
 
     def test_table_matches_scalar(self):
-        for n in range(1, 9):
-            for seed in (0, 77, 2**64 - 1):
-                inst = HypercubeInstance(n=n, seed=seed)
-                table = simulator.weight_table(inst)
-                scalar = np.array([[simulator.edge_weight(inst, v, d) for d in range(n)] for v in range(1 << n)])
-                # every entry drawn with the key edge_weight uses, from either endpoint
-                canonical = np.arange(1 << n)[:, None] & ~(1 << np.arange(n))
-                keyed = simulator.prng.exponential_array(seed, canonical.ravel(), np.tile(np.arange(n, dtype=np.uint64), 1 << n))
-                assert np.array_equal(table, keyed.reshape(table.shape)), (n, seed)
-                # numpy's log may round differently from math.log in the last place
-                assert np.all(np.abs(table - scalar) <= np.spacing(scalar)), (n, seed)
+        inst = HypercubeInstance(n=6, seed=77)
+        table = simulator.weight_table(inst)
+        for vertex in range(1 << 6):
+            for dim in range(6):
+                assert table[vertex, dim] == simulator.edge_weight(inst, vertex, dim)
+
+    @pytest.mark.parametrize("seed", (0, 77, 2**64 - 1))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_matches_scalar_keys(self, n, seed):
+        inst = HypercubeInstance(n=n, seed=seed)
+        table = simulator.weight_table(inst)
+        # every entry is -log of the scalar uniform that edge_weight draws, from either endpoint
+        uniform = [[simulator.prng.uniform01(seed, v & ~(1 << d), d) for d in range(n)] for v in range(1 << n)]
+        assert np.array_equal(table, -np.log(uniform))
+        # numpy's log rounds differently from math.log in the last place on some draws
+        scalar = np.array([[simulator.edge_weight(inst, v, d) for d in range(n)] for v in range(1 << n)])
+        assert np.all(np.abs(table - scalar) <= np.spacing(scalar))
 
     @pytest.mark.parametrize("n", (1, 5, 12))
     def test_table_draws_each_edge_once(self, monkeypatch, n):
@@ -62,10 +68,6 @@ class TestEdgeWeight:
         simulator.weight_table(HypercubeInstance(n=n, seed=3))
         edges = (1 << (n - 1)) * n
         assert calls == [((edges,), (edges,))]  # one call, 1-D keys and dims
-        low, dims = simulator._edge_keys(n)
-        with pytest.raises(ValueError):
-            low[0] = 1
-        assert simulator._edge_keys(n)[1] is dims
 
     def test_array_second_keys_match_scalar(self):
         dims = np.arange(26, dtype=np.uint64)
@@ -94,12 +96,12 @@ class TestEdgeWeight:
         b = second if isinstance(second, int) else np.array(second[: len(keys)], dtype=np.uint64)
         pairs = [(k, second if isinstance(second, int) else second[i]) for i, k in enumerate(keys)]
         assert prng.mix64_array(seed, a, b).tolist() == [prng.mix64(seed, k, j) for k, j in pairs]
-        uniform = prng.uniform01_array(seed, a, b)
-        assert uniform.tolist() == [prng.uniform01(seed, k, j) for k, j in pairs]
+        uniform = [prng.uniform01(seed, k, j) for k, j in pairs]
+        assert prng.uniform01_array(seed, a, b).tolist() == uniform
         drawn = prng.exponential_array(seed, a, b)
-        assert drawn.tolist() == (-np.log(uniform)).tolist()
+        assert drawn.tolist() == (-np.log(uniform)).tolist()  # the scalar uniforms through numpy's log
         scalar = np.array([prng.exponential(seed, k, j) for k, j in pairs])
-        assert np.all(np.abs(drawn - scalar) <= np.spacing(scalar))  # numpy's log vs math.log
+        assert np.all(np.abs(drawn - scalar) <= np.spacing(scalar))  # math.log differs in the last place
 
     def test_positive_where_the_uniform_rounds_to_one(self):
         # mix64(seed, 0, 0) = 2^64 - 1, so (mix64 + 0.5) * 2^-64 rounds to 1.0
@@ -230,15 +232,18 @@ class TestGroundState:
         if start == math.inf:
             assert limits == [math.inf] * len(expected)  # one unbounded call per search
         else:
-            doublings = [math.log2(limit / start) for limit in limits]
-            assert 1.0 in doublings  # a search that found no walk doubled its radius
-            assert any(d % 1 for d in doublings)  # and one that found a walk took half its cost
+            grown = [start]  # the radii of searches that never found a walk
+            while grown[-1] < 4:
+                grown.append(simulator._CSR_GROWTH * grown[-1])
+            assert grown[1] in limits  # a search that found no walk grew its radius
+            assert any(limit not in grown for limit in limits)  # and one that found a walk took half its cost
 
     def test_csr_layout_is_shared_and_read_only(self):
-        cols, indptr = simulator._csr_layout(5)
+        cols, indptr, low, dims = simulator._csr_layout(5)
         assert simulator._csr_layout(5)[0] is cols
         assert cols.shape == (32, 5) and cols[0b10110, 3] == 0b11110
-        for array in (cols, indptr):
+        assert low[3 * 16 + 5] == 0b00101 and low[3 * 16 + 9] == 0b10001 and dims[3 * 16] == 3
+        for array in (cols, indptr, low, dims):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -409,8 +414,7 @@ class TestRunTrials:
     def test_parallelism_does_not_change_output(self):
         for n, trials, parallelism in ((8, 8, 4), (12, 6, 2)):
             serial_records, serial_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=1)
-            simulator._csr_layout.cache_clear()  # the threads race to build the layout and keys they share
-            simulator._edge_keys.cache_clear()
+            simulator._csr_layout.cache_clear()  # the threads race to build the layout they share
             parallel_records, parallel_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=parallelism)
             # repr-level comparison: nan-valued empty bins defeat == on floats
             assert repr(serial_records) == repr(parallel_records), n
