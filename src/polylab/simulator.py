@@ -38,16 +38,15 @@ from . import UsageError, prng
 MAX_DIMENSION = 26
 # Largest n searched by compiled CSR Dijkstra; above it the ball search is
 # faster.  Mean ms per search, best of 5 interleaved passes on a 2-vCPU x86
-# host whose speed swings 1.5x, CSR vs ball search (ranges over repeated
-# runs):
+# host whose speed swings 1.5x, CSR vs ball search (ranges over 3 runs):
 #
 #   n    seeds   CSR         ball search
-#   11   0-99    0.57-0.75   2.86-3.61
-#   12   0-99    1.07-1.45   2.96-4.41
-#   13   0-99    1.71-2.06   3.70-5.16
-#   14   0-99    4.71-6.34   5.39-8.00   (CSR faster in 5 of 5 runs)
-#   15   0-23    10.8-15.3   6.59-10.1
-#   16   0-11    37.9        12.6
+#   11   0-99    0.63-0.83   3.46-4.08
+#   12   0-99    1.20-1.25   4.91-5.37
+#   13   0-99    1.74-2.32   4.57-6.48
+#   14   0-99    5.75-6.86   7.18-8.27   (CSR faster in 3 of 3 runs)
+#   15   0-23    14.0-15.4   8.67-9.99
+#   16   0-11    34.5-37.9   9.65-13.4
 #
 # The move from 13 to 14 rests on these per-search timings alone: no
 # benchmark workload runs n = 13-15.
@@ -195,12 +194,12 @@ def _csr_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _CSR_START_RADIUS = 0.6
 # Factor by which the radius grows while the two balls share no edge.  At
 # n = 12 one search in ten finds no walk at radius 0.6; its m_n lies in
-# 1.24-1.74 (seeds 0-599), so doubling to 1.2 labelled about 16 times the
-# vertices it needed.  Vertices labelled per search (both corners) over
-# seeds 0-399 at n = 12, 0-199 at n = 13 and 0-99 at n = 14, for factors
-# 2, 1.5, 1.4 and 1.3: 1389, 1033, 988, 965 at n = 12; 2101, 1723, 1676,
-# 1642 at n = 13; 3259, 2703, 2620, 2561 at n = 14, with 1.31-1.32, 1.21
-# and 1.20 Dijkstra calls per search at every factor.
+# 1.24-1.74 (seeds 0-599), so a radius of 0.87 suffices, and doubling to
+# 1.2 overshoots.  Vertices labelled per search (both corners) over seeds
+# 0-399 at n = 12, 0-199 at n = 13 and 0-99 at n = 14, for factors 2, 1.5,
+# 1.4 and 1.3: 1389, 1033, 988, 965 at n = 12; 2101, 1723, 1676, 1642 at
+# n = 13; 3259, 2703, 2620, 2561 at n = 14, with 1.31-1.32, 1.21 and 1.20
+# Dijkstra calls per search at every factor.
 _CSR_GROWTH = 1.3
 
 
