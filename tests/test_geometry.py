@@ -262,7 +262,13 @@ class TestVerifyScalarClaims:
     def test_all_items_pass_fine_grid(self):
         items = geometry.verify_scalar_claims(1e-4)
         assert all(it.passed for it in items), [it for it in items if not it.passed]
-        assert len(items) == 5
+        assert [(it.name, it.detail) for it in items] == [
+            ("theta_hat_sup", "grid sup = 1.000000000000"),
+            ("theta_hat_decay", "min exp(-x/100) - theta_hat = 3.337e-05"),
+            ("g1_log_convex", "min second difference = 0.365863"),
+            ("g2_log_convex", "min second difference = 0.567301"),
+            ("boundary_values", "g1(0.12)=0.960965 g1(0.73)=0.991430 g2(0.71)=0.999142 g2(1)=1.0"),
+        ]
 
     def test_all_items_pass_coarse_grid(self):
         assert all(it.passed for it in geometry.verify_scalar_claims(1e-3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -466,6 +467,101 @@ class TestRunTrials:
         for x in (0.55, 0.6, 0.65, 0.7):
             fraction = sum(1 for r in records if r.m_n <= x) / len(records)
             assert fraction <= 10.0 * math.exp(x) * math.sinh(x) ** 16
+
+
+class TestAggregateRecords:
+    # all-empty profile bins (n = 1, 6, 12) average to NaN with a NaN standard error
+    nan = math.nan
+    FROZEN = {
+        (1, 3, 0): {
+            "n": 1,
+            "trials": 3,
+            "base_seed": 0,
+            "mean_m_n": 1.9190648457012804,
+            "std_m_n": 2.145567040018059,
+            "mean_length_ratio": 1.0,
+            "std_length_ratio": 0.0,
+            "mean_first_half_fraction": 1.0,
+            "mean_backstep_fraction": 0.0,
+            "profile_bin_mean": (
+                nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
+                nan, nan, 1.0,
+            ),
+            "profile_bin_se": (
+                nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
+                nan, nan, 0.0,
+            ),
+            "backstep_decile_mean": (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            "backstep_decile_se": (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        },
+        (6, 30, 5): {
+            "n": 6,
+            "trials": 30,
+            "base_seed": 5,
+            "mean_m_n": 1.167690004663308,
+            "std_m_n": 0.360360570028048,
+            "mean_length_ratio": 1.0888888888888888,
+            "std_length_ratio": 0.14740554623801774,
+            "mean_first_half_fraction": 0.5378699155912801,
+            "mean_backstep_fraction": 0.03333333333333333,
+            "profile_bin_mean": (
+                nan, nan, 0.16666666666666666, 0.1666666666666666, nan, 0.3333333333333333,
+                0.3333333333333332, 0.5, nan, nan, 0.5222222222222223, nan, 0.5833333333333334,
+                0.6666666666666664, nan, 0.6666666666666666, 0.8333333333333335, 0.8333333333333333,
+                nan, 1.0,
+            ),
+            "profile_bin_se": (
+                nan, nan, 0.0, 1.1835017208228795e-17, nan, 0.0, 2.367003441645759e-17, 0.0, nan,
+                nan, 0.015180667801421622, nan, 0.05103103630798288, 4.734006883291518e-17, nan,
+                0.0, 2.367003441645759e-17, 3.925231146709438e-17, nan, 0.0,
+            ),
+            "backstep_decile_mean": (
+                0.0, 0.0, 0.0, 0.0, 0.06666666666666667, 0.13333333333333333, 0.06666666666666667,
+                0.0, 0.0, 0.0,
+            ),
+            "backstep_decile_se": (
+                0.0, 0.0, 0.0, 0.0, 0.04554200340426489, 0.06206328908341751, 0.04554200340426489,
+                0.0, 0.0, 0.0,
+            ),
+        },
+        (12, 40, 9): {
+            "n": 12,
+            "trials": 40,
+            "base_seed": 9,
+            "mean_m_n": 1.059429890004002,
+            "std_m_n": 0.1985479727257933,
+            "mean_length_ratio": 1.15,
+            "std_length_ratio": 0.13844373104863456,
+            "mean_first_half_fraction": 0.5159027158097133,
+            "mean_backstep_fraction": 0.05907738095238095,
+            "profile_bin_mean": (
+                nan, 0.08333333333333337, 0.1666666666666666, 0.2, 0.2552083333333333,
+                0.2833333333333334, 0.3233333333333333, 0.38, 0.4208333333333333, nan, 0.4875,
+                0.5625, 0.6, 0.65, 0.6927083333333333, 0.7375, 0.8066666666666668,
+                0.8333333333333333, 0.9166666666666667, 1.0,
+            ),
+            "profile_bin_se": (
+                nan, 6.582812753581314e-18, 1.1102230246251566e-17, 0.00816496580927726,
+                0.00504294706537424, 0.009682458365518542, 0.013597385369580762,
+                0.017688665548562132, 0.011004260538536884, nan, 0.012342761036332188,
+                0.012058163440406488, 0.014907119849998596, 0.00942809041582063,
+                0.017614256846964438, 0.006284626303749319, 0.009092121131323905,
+                2.2204460492503132e-17, 1.7554167342883506e-17, 0.0,
+            ),
+            "backstep_decile_mean": (0.0, 0.0, 0.225, 0.15, 0.15, 0.125, 0.125, 0.1, 0.025, 0.0),
+            "backstep_decile_se": (
+                0.0, 0.0, 0.07489576089472623, 0.05645794895318107, 0.06661456297237113,
+                0.05229125165837972, 0.05229125165837972, 0.04743416490252569, 0.02468552207266437,
+                0.0,
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("n, trials, base_seed", sorted(FROZEN))
+    def test_reproduces_frozen_summary(self, n, trials, base_seed):
+        _, summary = simulator.run_trials(n, trials, base_seed)
+        # repr-level comparison: nan never equals itself
+        assert repr(dataclasses.asdict(summary)) == repr(self.FROZEN[n, trials, base_seed])
 
 
 class TestSerialization:
