@@ -131,18 +131,6 @@ def g_factor(j: int, x: float, cg: CoarseGraining) -> float:
     return num / den
 
 
-def feasible_depth_range(j: int, K: int) -> tuple[float, float]:
-    """Depth interval on which g_factor(j, ., cg) is defined for K = cg.K.
-
-    The four x^x arguments are nonnegative iff 1/K <= x <= min((2j-1)/K,
-    2 - (2j-1)/K); for the boundary slabs the interval collapses to {1/K}.
-    """
-    if not 1 <= j <= K:
-        raise UsageError(f"slab index must satisfy 1 <= j <= K, got {j}")
-    hi = min((2 * j - 1) / K, 2.0 - (2 * j - 1) / K)
-    return 1.0 / K, hi
-
-
 def optimal_d_closed_form(j: int, cg: CoarseGraining) -> float:
     """Unique positive maximizer of g_factor(j, ., cg) for an interior slab.
 
@@ -175,18 +163,16 @@ def evolution_product(cg: CoarseGraining, i: int) -> float:
     """
     if not 1 <= i <= cg.K:
         raise UsageError(f"slab index must satisfy 1 <= i <= K, got {i}")
-    prod = 1.0
-    for j in range(1, i + 1):
-        prod *= g_factor(j, cg.d[j - 1], cg)
-    return prod
+    return math.prod(g_factor(j, cg.d[j - 1], cg) for j in range(1, i + 1))
 
 
 def f_function(cg: CoarseGraining, dvec) -> float:
     """Product of per-slab factors at an arbitrary depth vector.
 
     Equals 1 at the solved depths cg.d and is strictly smaller at any other
-    vector.  Depth vectors outside the per-slab feasible range correspond to
-    empty path ensembles; those contribute a factor 0, so the product is 0.
+    vector.  Slab j is feasible for 1/K <= x <= min((2j-1)/K, 2 - (2j-1)/K),
+    the single point 1/K for the boundary slabs; a depth outside that range
+    means an empty path ensemble and a factor 0, so the product is 0.
     """
     if len(dvec) != cg.K:
         raise UsageError(f"expected {cg.K} depths, got {len(dvec)}")
@@ -336,45 +322,20 @@ def verify_scalar_claims(grid_step: float) -> tuple[ScalarClaimItem, ...]:
     -1e-6 threshold absorbs discretization error.  `theta_hat_sup`, called
     first, rejects a grid_step outside (0, 1e-3].
     """
-    items = []
-
     sup = max(theta_hat_sup(grid_step, l_opt) for l_opt in (1.24, 1.25))
-    items.append(
-        ScalarClaimItem("theta_hat_sup", sup <= 1.0 + 1e-9, f"grid sup = {sup:.12f}")
-    )
-
-    worst_gap = math.inf
-    ok = True
-    for l_opt in (1.24, 1.25):
-        for i in range(1, int(0.2 / grid_step) + 1):
-            x = min(i * grid_step, 0.2)
-            gap = math.exp(-x / 100.0) - theta_hat(x, l_opt)
-            worst_gap = min(worst_gap, gap)
-            ok = ok and gap >= 0.0
-    items.append(
-        ScalarClaimItem("theta_hat_decay", ok, f"min exp(-x/100) - theta_hat = {worst_gap:.3e}")
-    )
-
+    decay_xs = [min(i * grid_step, 0.2) for i in range(1, int(0.2 / grid_step) + 1)]
+    worst_gap = min(math.exp(-x / 100.0) - theta_hat(x, l_opt) for l_opt in (1.24, 1.25) for x in decay_xs)
     min_dd1 = min(v for _, v in _log_second_differences(g1, 0.12, 0.73, grid_step))
-    items.append(
-        ScalarClaimItem("g1_log_convex", min_dd1 >= -1e-6, f"min second difference = {min_dd1:.6f}")
-    )
     min_dd2 = min(v for _, v in _log_second_differences(g2, 0.71, 1.0, grid_step))
-    items.append(
-        ScalarClaimItem("g2_log_convex", min_dd2 >= -1e-6, f"min second difference = {min_dd2:.6f}")
-    )
-
-    boundary_ok = (
-        g1(0.12) <= 1.0
-        and g1(0.73) <= 1.0
-        and g2(0.71) <= 1.0
-        and g2(1.0) == 1.0
-    )
-    items.append(
+    g1_lo, g1_hi, g2_lo, g2_one = g1(0.12), g1(0.73), g2(0.71), g2(1.0)
+    return (
+        ScalarClaimItem("theta_hat_sup", sup <= 1.0 + 1e-9, f"grid sup = {sup:.12f}"),
+        ScalarClaimItem("theta_hat_decay", worst_gap >= 0.0, f"min exp(-x/100) - theta_hat = {worst_gap:.3e}"),
+        ScalarClaimItem("g1_log_convex", min_dd1 >= -1e-6, f"min second difference = {min_dd1:.6f}"),
+        ScalarClaimItem("g2_log_convex", min_dd2 >= -1e-6, f"min second difference = {min_dd2:.6f}"),
         ScalarClaimItem(
             "boundary_values",
-            boundary_ok,
-            f"g1(0.12)={g1(0.12):.6f} g1(0.73)={g1(0.73):.6f} g2(0.71)={g2(0.71):.6f} g2(1)={g2(1.0):.1f}",
-        )
+            max(g1_lo, g1_hi, g2_lo) <= 1.0 and g2_one == 1.0,
+            f"g1(0.12)={g1_lo:.6f} g1(0.73)={g1_hi:.6f} g2(0.71)={g2_lo:.6f} g2(1)={g2_one:.1f}",
+        ),
     )
-    return tuple(items)

@@ -555,15 +555,10 @@ def aggregate_records(records: list[TrialRecord], base_seed: int) -> AggregateSu
     back_fraction = np.array([r.backstep_count / r.length for r in records])
     bins = np.array([r.profile_bins for r in records])  # nan for empty bins
     deciles = np.array([r.backstep_deciles for r in records], dtype=float)
-    filled = ~np.isnan(bins)
-    bin_counts = filled.sum(axis=0)
-    safe_counts = np.maximum(bin_counts, 1)
-    zeroed = np.where(filled, bins, 0.0)
-    bin_mean = np.where(bin_counts > 0, zeroed.sum(axis=0) / safe_counts, np.nan)
-    spread = np.where(filled, (zeroed - bin_mean) ** 2, 0.0)
-    bin_se = np.where(
-        bin_counts > 0, np.sqrt(spread.sum(axis=0)) / safe_counts, np.nan
-    )
+    bin_counts = np.count_nonzero(~np.isnan(bins), axis=0)
+    with np.errstate(invalid="ignore"):  # 0/0 is the NaN of a bin that no trial filled
+        bin_mean = np.nansum(bins, axis=0) / bin_counts
+        bin_se = np.sqrt(np.nansum((bins - bin_mean) ** 2, axis=0)) / bin_counts
     return AggregateSummary(
         n=records[0].n,
         trials=trials,

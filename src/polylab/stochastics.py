@@ -42,8 +42,10 @@ def erlang_tail_ratio(l: int, x: float) -> float:
     """Correction K(x,l) in P(X_l <= x) = (1 + K(x,l)) e^{-x} x^l / l!.
 
     Evaluated by the positive series K = sum_{m>=1} x^m l!/(l+m)!, which
-    converges geometrically and never under- or overflows; satisfies
-    0 <= K(x,l) <= e^x x/(l+1).
+    converges geometrically; satisfies 0 <= K(x,l) <= e^x x/(l+1).  For
+    x < l, where erlang_cdf uses it, every term is below 1.  Far above l the
+    terms overflow and the loop gives up after 10^5 terms with
+    ArithmeticError (l = 1, x = 1000).
     """
     if l < 1:
         raise UsageError(f"l must be positive, got {l}")
@@ -66,7 +68,8 @@ def erlang_cdf(l: int, x: float) -> float:
     """P(X_l <= x) for X_l a sum of l independent Exp(1) variables.
 
     Series branch for x < l (no cancellation, exact in the deep tail);
-    complement of the l-term survival sum otherwise.
+    otherwise the complement of the Poisson masses at 0, ..., l - 1, formed
+    downward from the largest in log space so that none overflows.
     """
     if l < 1:
         raise UsageError(f"l must be positive, got {l}")
@@ -77,13 +80,12 @@ def erlang_cdf(l: int, x: float) -> float:
     if x < l:
         k = erlang_tail_ratio(l, x)
         return (1.0 + k) * math.exp(-x + l * math.log(x) - math.lgamma(l + 1))
-    survival_sum = 0.0
-    term = 1.0
-    for j in range(l):
-        if j:
-            term *= x / j
-        survival_sum += term
-    return 1.0 - math.exp(-x) * survival_sum
+    term = math.exp(-x + (l - 1) * math.log(x) - math.lgamma(l))  # Poisson mass at l - 1, the largest
+    masses = [term]
+    for j in range(l - 1, 0, -1):
+        term *= j / x
+        masses.append(term)
+    return 1.0 - math.fsum(masses)
 
 
 def overlap_g(gamma: float) -> float:
@@ -115,12 +117,9 @@ def overlap_probability_exact(spec: OverlapSpec) -> float:
         return erlang_cdf(l, x)
     log_gamma_k = math.lgamma(k)
 
+    # QUADPACK's Gauss-Kronrod nodes lie strictly inside (0, x), so t > 0 here;
+    # the clamp guards x - t against rounding below 0 next to the upper end
     def integrand(t: float) -> float:
-        if t <= 0.0:
-            if k > 1:
-                return 0.0
-            tail = erlang_cdf(l - 1, x)
-            return tail * tail
         tail = erlang_cdf(l - k, max(x - t, 0.0))
         return tail * tail * math.exp((k - 1) * math.log(t) - t - log_gamma_k)
 

@@ -128,8 +128,9 @@ class TestOptimalDClosedForm:
             cg = geometry.solve_coarse_graining(K)
             for j in range(2, K):
                 step = 1e-4
-                lo, hi = geometry.feasible_depth_range(j, K)
-                xs = grid(lo + step, min(hi - step, 3.5 / K), step)
+                # the feasible depths of slab j: 1/K <= x <= min((2j-1)/K, 2 - (2j-1)/K)
+                hi = min((2 * j - 1) / K, 2.0 - (2 * j - 1) / K)
+                xs = grid(1.0 / K + step, min(hi - step, 3.5 / K), step)
                 values = [geometry.g_factor(j, x, cg) for x in xs]
                 diffs = [b - a for a, b in zip(values, values[1:])]
                 changes = sum(

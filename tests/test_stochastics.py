@@ -34,6 +34,9 @@ class TestErlangCdf:
                 assert stochastics.erlang_cdf(l, x) == pytest.approx(
                     float(special.gammainc(l, x)), rel=1e-12, abs=1e-300
                 )
+        # x >= l where x^j/j! overflows a float: the Poisson masses are formed in log space
+        for l, x in ((1000, 1000.0), (999, 1009.0), (1000, 1500.0), (200, 400.0), (3, 1e200), (1000, 1e308)):
+            assert stochastics.erlang_cdf(l, x) == pytest.approx(float(special.gammainc(l, x)), rel=1e-12), (l, x)
 
     @given(l=st.integers(min_value=1, max_value=40), x=st.floats(min_value=0.0, max_value=60.0))
     @settings(max_examples=200, deadline=None)
