@@ -7,6 +7,7 @@ seeded Monte Carlo oracle), and the ratio that the shift inequality
 bounds between thresholds a and a + b.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,11 +81,8 @@ def erlang_cdf(l: int, x: float) -> float:
     if x < l:
         k = erlang_tail_ratio(l, x)
         return (1.0 + k) * math.exp(-x + l * math.log(x) - math.lgamma(l + 1))
-    term = math.exp(-x + (l - 1) * math.log(x) - math.lgamma(l))  # Poisson mass at l - 1, the largest
-    masses = [term]
-    for j in range(l - 1, 0, -1):
-        term *= j / x
-        masses.append(term)
+    top = math.exp(-x + (l - 1) * math.log(x) - math.lgamma(l))  # Poisson mass at l - 1, the largest
+    masses = itertools.accumulate(range(l - 1, 0, -1), lambda term, j: term * (j / x), initial=top)
     return 1.0 - math.fsum(masses)
 
 
@@ -117,9 +115,10 @@ def overlap_probability_exact(spec: OverlapSpec) -> float:
         return erlang_cdf(l, x)
     log_gamma_k = math.lgamma(k)
 
-    # QUADPACK's Gauss-Kronrod nodes lie strictly inside (0, x), so t > 0 here;
-    # the clamp guards x - t against rounding below 0 next to the upper end
     def integrand(t: float) -> float:
+        if t <= 0.0:  # a subnormal x rounds a Gauss-Kronrod node onto t = 0
+            tail = erlang_cdf(l - 1, x) if k == 1 else 0.0
+            return tail * tail
         tail = erlang_cdf(l - k, max(x - t, 0.0))
         return tail * tail * math.exp((k - 1) * math.log(t) - t - log_gamma_k)
 

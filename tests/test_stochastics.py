@@ -136,6 +136,11 @@ class TestOverlapProbabilityExact:
             assert abs(density_integral - stochastics.overlap_probability_exact(OverlapSpec(l, l, x))) < 1e-10
             assert abs(density_integral**2 - stochastics.overlap_probability_exact(OverlapSpec(l, 0, x))) < 1e-10
 
+    @pytest.mark.parametrize("l,k,x", [(2, 1, 5e-324), (3, 2, 1e-323), (3, 1, 5e-324), (4, 3, 2e-323)])
+    def test_subnormal_x(self, l, k, x):
+        # the rounded midpoint of [0, x] is a quadrature node at t = 0; the integrand must take it
+        assert stochastics.overlap_probability_exact(OverlapSpec(l, k, x)) == 0.0
+
     def test_monotone_in_x_and_k(self):
         for l in range(2, 9):
             for x in (0.5, 1.0, 2.0):
