@@ -186,6 +186,12 @@ class TestFFunction:
         dvec[9] -= 0.02
         assert geometry.f_function(cg, dvec) < 1.0
 
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_optimum_is_evolution_product_bit_for_bit(self, K):
+        # both multiply the same factors left to right, starting from 1
+        cg = geometry.solve_coarse_graining(K)
+        assert geometry.f_function(cg, cg.d) == geometry.evolution_product(cg, K)
+
     def test_infeasible_depths_give_zero(self):
         # boundary slabs admit only depth 1/K; any perturbation empties the ensemble
         cg = geometry.solve_coarse_graining(8)

@@ -62,6 +62,11 @@ class TestErlangTailRatio:
         with pytest.raises(polylab.UsageError):
             stochastics.erlang_tail_ratio(3, math.inf)
 
+    def test_diverges_far_above_l(self):
+        # the terms grow until they overflow; the loop gives up after 10^5 of them
+        with pytest.raises(ArithmeticError):
+            stochastics.erlang_tail_ratio(1, 1000.0)
+
     def test_bound_over_full_grid(self):
         for l in range(1, 51):
             for x in (0.1, 0.5, 1.0, E, 2.0, 5.0):
