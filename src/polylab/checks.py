@@ -37,11 +37,10 @@ def identity_residuals(n_values: Sequence[int]) -> tuple[bool, str]:
     for n in n_values:
         for d in (0, n // 2, n):
             for x in (0.5, E, 1.5):
-                r = pathcount.identity_residual(n, d, x, 80)
-                bound = pathcount.identity_remainder_bound(n, x, 80)
-                if not pathcount.identity_within_tolerance(n, d, x, r, bound):
-                    return False, f"residual {r:.2e} at (n={n}, d={d}, x={x})"
-                worst = max(worst, r)
+                result = pathcount.identity_residual(n, d, x, 80)
+                if not result.within_tolerance:
+                    return False, f"residual {result.residual:.2e} at (n={n}, d={d}, x={x})"
+                worst = max(worst, result.residual)
     return True, f"max residual {worst:.2e}"
 
 
@@ -117,7 +116,7 @@ def scalar_claims(grid_step: float) -> tuple[bool, str]:
 
 
 def overlap_kernels(g_steps: int, l_step: int) -> tuple[bool, str]:
-    """g <= 1 on a grid of [0, 1], the Erlang tail-ratio bound, and the k = l closed form."""
+    """g <= 1 on a grid of [0, 1], the Erlang tail-ratio bound, and the quadrature's l = 2, k = 1 closed form."""
     for i in range(g_steps + 1):
         if stochastics.overlap_g(i / g_steps) > 1.0 + 1e-12:
             return False, f"g above 1 at gamma={i / g_steps}"
@@ -125,10 +124,10 @@ def overlap_kernels(g_steps: int, l_step: int) -> tuple[bool, str]:
         for x in (0.1, 0.5, 1.0, E, 2.0, 5.0):
             if not 0.0 <= stochastics.erlang_tail_ratio(l, x) <= math.exp(x) * x / (l + 1):
                 return False, f"tail ratio bound violated at (l={l}, x={x})"
-    for l, x in ((3, 1.0), (5, 0.7)):
-        spec = stochastics.OverlapSpec(l=l, k=l, x=x)
-        if abs(stochastics.overlap_probability_exact(spec) - stochastics.erlang_cdf(l, x)) > 1e-10:
-            return False, f"k=l closed form mismatch at (l={l}, x={x})"
+    for x in (1.0, 0.7):
+        closed = 1.0 - 2.0 * x * math.exp(-x) - math.exp(-2.0 * x)
+        if abs(stochastics.overlap_probability_exact(stochastics.OverlapSpec(l=2, k=1, x=x)) - closed) > 1e-10:
+            return False, f"l=2, k=1 closed form mismatch at x={x}"
     return True, "g bounded, tail ratio bounded, closed forms consistent"
 
 

@@ -64,6 +64,12 @@ def _write(args, payload: dict, header=None, rows=None) -> None:
             fh.write(text)
 
 
+def _output_options(p: argparse.ArgumentParser, out_help=None) -> None:
+    """Declare `--format` and `--out`, after a subcommand's own arguments as its help lists them."""
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None, help=out_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polylab",
@@ -74,50 +80,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("count", help="exact walk count for one (n, l, d) cell")
+    p.set_defaults(handler=_cmd_count)
     p.add_argument("--n", type=int, required=True, help="hypercube dimension")
     p.add_argument("--l", type=int, required=True, help="walk length")
     p.add_argument("--d", type=int, required=True, help="Hamming distance")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+    _output_options(p, "output file (default stdout)")
 
     p = sub.add_parser("identity", help="generating-function truncation residual")
+    p.set_defaults(handler=_cmd_identity)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    _output_options(p)
 
     p = sub.add_parser("geometry", help="solved K-slab geometry table")
+    p.set_defaults(handler=_cmd_geometry)
     p.add_argument("--K", type=int, required=True, help="number of scales")
     p.add_argument("--m", type=int, default=None, help="directed-cap width for the profile")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    _output_options(p)
 
     p = sub.add_parser("analyze", help="scalar envelope claims on a grid")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--grid-step", type=float, default=1e-4)
     p.add_argument("--lopt", type=float, default=None, help="report theta_hat sup at this value only")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    _output_options(p)
 
     p = sub.add_parser("overlap", help="joint small-energy probability of overlapping sums")
+    p.set_defaults(handler=_cmd_overlap)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--mc-trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    _output_options(p)
 
     p = sub.add_parser("simulate", help="ground-state trials on seeded instances")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    _output_options(p)
 
     p = sub.add_parser("verify", help="run the invariant battery; exit 0 iff all pass")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--fast", action="store_true", help="smaller sizes, same checks")
 
     return parser
@@ -130,18 +137,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    residual = pathcount.identity_residual(args.n, args.d, args.x, args.lmax)
-    bound = pathcount.identity_remainder_bound(args.n, args.x, args.lmax)
-    payload = {
-        "n": args.n,
-        "d": args.d,
-        "x": args.x,
-        "l_max": args.lmax,
-        "residual": residual,
-        "remainder_bound": bound,
-        "within_tolerance": pathcount.identity_within_tolerance(args.n, args.d, args.x, residual, bound),
-    }
-    _write(args, payload)
+    result = pathcount.identity_residual(args.n, args.d, args.x, args.lmax)
+    _write(args, {"n": args.n, "d": args.d, "x": args.x, "l_max": args.lmax, **result._asdict()})
     return 0
 
 
@@ -228,29 +225,16 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "identity": _cmd_identity,
-    "geometry": _cmd_geometry,
-    "analyze": _cmd_analyze,
-    "overlap": _cmd_overlap,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.subcommand]
     try:
-        return handler(args)
+        return args.handler(args)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

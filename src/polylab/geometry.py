@@ -176,13 +176,10 @@ def f_function(cg: CoarseGraining, dvec) -> float:
     """
     if len(dvec) != cg.K:
         raise UsageError(f"expected {cg.K} depths, got {len(dvec)}")
-    prod = 1.0
-    for j, x in enumerate(dvec, start=1):
-        try:
-            prod *= g_factor(j, x, cg)
-        except GeometryDomainError:
-            prod = 0.0
-    return prod
+    try:
+        return math.prod(g_factor(j, x, cg) for j, x in enumerate(dvec, start=1))
+    except GeometryDomainError:
+        return 0.0
 
 
 @dataclass(frozen=True)

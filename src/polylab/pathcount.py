@@ -18,6 +18,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from . import UsageError
 from .constants import E, L
@@ -121,8 +122,16 @@ def identity_remainder_bound(n: int, x: float, l_max: int) -> float:
     return math.exp(log_head) / (1.0 - ratio)
 
 
-def identity_residual(n: int, d: int, x: float, l_max: int) -> float:
-    """|sum_{l<=l_max} M(n,l,d) x^l/l!  -  sinh(x)^d cosh(x)^{n-d}|.
+class IdentityResidual(NamedTuple):
+    residual: float
+    remainder_bound: float
+    within_tolerance: bool
+
+
+def identity_residual(n: int, d: int, x: float, l_max: int) -> IdentityResidual:
+    """|sum_{l<=l_max} M(n,l,d) x^l/l!  -  sinh(x)^d cosh(x)^{n-d}|, its truncation
+    remainder bound, and whether the residual is within that bound plus float
+    rounding of 1e-13 relative to the target.
 
     The truncated sum is evaluated with exact counts and fsum (all terms are
     nonnegative, so there is no cancellation); the residual is the analytic
@@ -131,7 +140,8 @@ def identity_residual(n: int, d: int, x: float, l_max: int) -> float:
     if not 0 < x < math.inf:
         raise UsageError(f"x must be positive and finite, got {x}")
     _require_distance(n, d)
-    if identity_remainder_bound(n, x, l_max) > 1e-12:
+    bound = identity_remainder_bound(n, x, l_max)
+    if bound > 1e-12:
         raise UsageError(f"l_max={l_max} leaves a truncation remainder above 1e-12")
     terms = []
     for l, m in zip(range(l_max + 1), walk_counts(n, d)):
@@ -141,14 +151,8 @@ def identity_residual(n: int, d: int, x: float, l_max: int) -> float:
             except OverflowError:
                 terms.append(math.exp(_log_weight(m, x, l)))
     target = math.sinh(x) ** d * math.cosh(x) ** (n - d)
-    return abs(math.fsum(terms) - target)
-
-
-def identity_within_tolerance(n: int, d: int, x: float, residual: float, bound: float) -> bool:
-    """Whether an `identity_residual` is within the truncation remainder `bound`
-    plus float rounding of 1e-13 relative to sinh(x)^d cosh(x)^{n-d}."""
-    target = math.sinh(x) ** d * math.cosh(x) ** (n - d)
-    return residual <= bound + 1e-13 * target
+    residual = abs(math.fsum(terms) - target)
+    return IdentityResidual(residual, bound, residual <= bound + 1e-13 * target)
 
 
 def log_m_bound(n: int, l: int, d: int, x: float) -> float:
@@ -243,7 +247,7 @@ def length_weight_distribution(n: int, l_max: int) -> LengthWeightDistribution:
         if l:
             num_pow *= p
             den *= q * l
-        weights.append((m * num_pow) / den if m else 0.0)
+        weights.append((m * num_pow) / den)
     return LengthWeightDistribution(
         n=n,
         l_max=l_max,

@@ -23,6 +23,7 @@ directed paths.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -236,15 +237,16 @@ def _csr_search(instance: HypercubeInstance) -> PolymerPath:
         radius = upper / 2 if math.isfinite(upper) else _CSR_GROWTH * radius
     u = int(rows[meet // n])
     v = int(cols[u, meet % n])
-    return PolymerPath.from_vertices(instance, _chain(pred[0], u)[::-1] + _chain(pred[1], v))
+    vertices = _chain(pred[0].__getitem__, u)[::-1] + _chain(pred[1].__getitem__, v)
+    return PolymerPath.from_vertices(instance, vertices)
 
 
-def _chain(pred: np.ndarray, vertex: int) -> list[int]:
-    """The vertices from `vertex` back to the source of a scipy predecessor row."""
+def _chain(pred_of, vertex: int) -> list[int]:
+    """The vertices from `vertex` back to the source; `pred_of` gives each one's predecessor, -1 at the source."""
     out = []
     while vertex >= 0:
         out.append(vertex)
-        vertex = int(pred[vertex])
+        vertex = int(pred_of(vertex))
     return out
 
 
@@ -281,13 +283,9 @@ class _Ball:
         self.radius = 0.0
         self.pending = []
 
-    def chain(self, vertex: int) -> list[int]:
-        """The vertices from `vertex` back to the corner."""
-        out = []
-        while vertex >= 0:
-            out.append(vertex)
-            vertex = int(self.pred[np.searchsorted(self.keys, vertex)])
-        return out
+    def pred_of(self, vertex: int) -> int:
+        """The stored predecessor of a labelled vertex, -1 at the corner."""
+        return self.pred[np.searchsorted(self.keys, vertex)]
 
     def lower(self, keys: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store each key's cheapest candidate label where it beats the stored one; return those keys and labels."""
@@ -348,7 +346,7 @@ class _BallSearch:
             self._settle(side, ball.keys, ball.dist)
         while not self._certified():
             self._grow()
-        return self.balls[0].chain(self.meet[0])[::-1] + self.balls[1].chain(self.meet[1])
+        return _chain(self.balls[0].pred_of, self.meet[0])[::-1] + _chain(self.balls[1].pred_of, self.meet[1])
 
     def _certified(self) -> bool:
         """radius_0 + radius_1 >= upper, compared the way _grow computes a cap,
@@ -582,7 +580,8 @@ def run_trials(
     """Independent trials with seeds base_seed + t; output is schedule-independent.
 
     Trials share no mutable state, so any parallelism degree produces the
-    same records; aggregation consumes them in trial order.
+    same records; aggregation consumes them in trial order.  They run on
+    min(parallelism, trials, cores) threads.
     """
     _require_dimension(n)
     if trials < 1:
@@ -590,10 +589,11 @@ def run_trials(
     if parallelism < 1:
         raise UsageError(f"parallelism must be positive, got {parallelism}")
     prng.require_seeds(base_seed, trials)
-    if parallelism == 1:  # a 1-worker pool raised peak RSS by 6-7 MiB in 8 s runs of simulate --n 20
+    workers = min(parallelism, trials, os.cpu_count() or 1)
+    if workers == 1:  # a 1-worker pool raised peak RSS by 6-7 MiB in 8 s runs of simulate --n 20
         records = [run_trial(n, base_seed + t, t) for t in range(trials)]
     else:
-        with ThreadPoolExecutor(max_workers=min(parallelism, trials)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda t: run_trial(n, base_seed + t, t), range(trials)))
     return records, aggregate_records(records, base_seed)
 

@@ -124,14 +124,14 @@ class TestWalkCounts:
 
 class TestIdentityResidual:
     def test_single_edge_at_one(self):
-        assert pathcount.identity_residual(1, 1, 1.0, 30) < 1e-12
+        assert pathcount.identity_residual(1, 1, 1.0, 30).residual < 1e-12
 
     def test_square_even_walks(self):
-        assert pathcount.identity_residual(2, 0, 0.5, 30) < 1e-12
+        assert pathcount.identity_residual(2, 0, 0.5, 30).residual < 1e-12
 
     def test_antipodal_cube_at_energy_constant(self):
         # target value sinh(E)^3 = 1
-        assert pathcount.identity_residual(3, 3, E, 60) < 1e-10
+        assert pathcount.identity_residual(3, 3, E, 60).residual < 1e-10
 
     def test_rejects_insufficient_truncation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -412,7 +413,8 @@ class TestRunTrials:
         assert len(summary.profile_bin_mean) == 20
         assert len(summary.backstep_decile_mean) == 10
 
-    def test_parallelism_does_not_change_output(self):
+    def test_parallelism_does_not_change_output(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the same thread counts on any host
         for n, trials, parallelism in ((8, 8, 4), (12, 6, 2)):
             serial_records, serial_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=1)
             simulator._csr_layout.cache_clear()  # the threads race to build the layout they share
@@ -421,7 +423,9 @@ class TestRunTrials:
             assert repr(serial_records) == repr(parallel_records), n
             assert repr(serial_summary) == repr(parallel_summary), n
 
-    def test_pool_never_outnumbers_trials(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The `max_workers` of every pool `run_trials` starts."""
         asked = []
 
         class RecordingPool(simulator.ThreadPoolExecutor):
@@ -430,9 +434,21 @@ class TestRunTrials:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
+        return asked
+
+    def test_pool_never_outnumbers_trials(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         pooled = simulator.run_trials(4, 3, 0, parallelism=64)
-        assert asked == [3]
+        assert pool_sizes == [3]
         assert repr(pooled) == repr(simulator.run_trials(4, 3, 0, parallelism=1))
+
+    @pytest.mark.parametrize("cores, threads", [(2, [2]), (1, []), (None, [])])
+    def test_pool_never_outnumbers_cores(self, monkeypatch, pool_sizes, cores, threads):
+        # pool.map submits every trial at once, so an uncapped pool could start one thread per trial
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        pooled = simulator.run_trials(4, 6, 0, parallelism=1000)
+        assert pool_sizes == threads
+        assert repr(pooled) == repr(simulator.run_trials(4, 6, 0, parallelism=1))
 
     @pytest.mark.parametrize(
         "n, base_seed",

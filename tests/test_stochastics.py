@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 import polylab
-from polylab import prng, stochastics
+from polylab import checks, prng, stochastics
 from polylab.constants import E
 from polylab.stochastics import McEstimate, OverlapSpec
 
@@ -145,6 +146,24 @@ class TestOverlapProbabilityExact:
     def test_subnormal_x(self, l, k, x):
         # the rounded midpoint of [0, x] is a quadrature node at t = 0; the integrand must take it
         assert stochastics.overlap_probability_exact(OverlapSpec(l, k, x)) == 0.0
+
+    def test_never_above_one(self):
+        # near 1 the quadrature's rounding used to leave up to 12 ulps above it (l=2, k=1, x=800)
+        for l in range(1, 13):
+            for k in range(l + 1):
+                for x in (5.0, 10.0, 20.0, 40.0, 80.0, 200.0, 800.0, 1e4, 1e6):
+                    assert stochastics.overlap_probability_exact(OverlapSpec(l, k, x)) <= 1.0, (l, k, x)
+
+    def test_kernel_check_catches_a_biased_quadrature(self, monkeypatch):
+        # the l = 2, k = 1 closed form goes through the quadrature, so a bias of 1e-8 must fail it
+        def biased_quad(*args, **kwargs):
+            value, abserr = integrate.quad(*args, **kwargs)
+            return value * (1.0 + 1e-8), abserr
+
+        monkeypatch.setattr(stochastics, "integrate", SimpleNamespace(quad=biased_quad))
+        passed, detail = checks.overlap_kernels(100, 7)
+        assert not passed
+        assert detail == "l=2, k=1 closed form mismatch at x=1.0"
 
     def test_monotone_in_x_and_k(self):
         for l in range(2, 9):
