@@ -115,8 +115,10 @@ def scalar_claims(grid_step: float) -> tuple[bool, str]:
     return True, "all five items pass"
 
 
-def overlap_kernels(g_steps: int, l_step: int) -> tuple[bool, str]:
-    """g <= 1 on a grid of [0, 1], the Erlang tail-ratio bound, and the quadrature's l = 2, k = 1 closed form."""
+def overlap_kernels(g_steps: int, l_step: int, path_ns: Sequence[int]) -> tuple[bool, str]:
+    """g <= 1 on a grid of [0, 1], the Erlang tail-ratio bound, the l = 2, k = 1 closed form,
+    and, at path scale l = ceil(L n), k = l/4, l/2, 3l/4 and x = E for each n in `path_ns`,
+    a finite log kernel with 0 < exact/leading < 1."""
     for i in range(g_steps + 1):
         if stochastics.overlap_g(i / g_steps) > 1.0 + 1e-12:
             return False, f"g above 1 at gamma={i / g_steps}"
@@ -128,11 +130,25 @@ def overlap_kernels(g_steps: int, l_step: int) -> tuple[bool, str]:
         closed = 1.0 - 2.0 * x * math.exp(-x) - math.exp(-2.0 * x)
         if abs(stochastics.overlap_probability_exact(stochastics.OverlapSpec(l=2, k=1, x=x)) - closed) > 1e-10:
             return False, f"l=2, k=1 closed form mismatch at x={x}"
-    return True, "g bounded, tail ratio bounded, closed forms consistent"
+    halves = []
+    for n in path_ns:
+        l = math.ceil(L * n)
+        for k in (l // 4, l // 2, 3 * l // 4):
+            spec = stochastics.OverlapSpec(l=l, k=k, x=E)
+            log_exact = stochastics.log_overlap_probability(spec)
+            ratio = math.exp(log_exact - stochastics.log_overlap_probability_leading(spec))
+            if not (math.isfinite(log_exact) and 0.0 < ratio < 1.0):
+                return False, f"exact/leading {ratio:.4g} at (l={l}, k={k}, x=E), log exact {log_exact}"
+            if k == l // 2:
+                halves.append(f"{ratio:.3f}")
+    return True, (
+        "g bounded, tail ratio bounded, closed forms consistent; "
+        f"exact/leading {', '.join(halves)} at l=ceil(L n), k=l/2, x=E for n={tuple(path_ns)}"
+    )
 
 
 def overlap_mc(cells: Sequence[tuple[int, int, float, int]], trials: int) -> tuple[bool, str]:
-    """Monte Carlo matches quadrature on each (l, k, x, seed) cell within 4 se + 16/N.
+    """Monte Carlo matches the exact kernel on each (l, k, x, seed) cell within 4 se + 16/N.
 
     The binomial stderr vanishes on zero-count cells; the 16/N term covers
     deviations of Poisson-scale counts up to 16 there.
@@ -247,6 +263,7 @@ class Check(NamedTuple):
 
 
 _ALL_K = tuple(range(1, 65))
+_PATH_NS = (16, 64, 128, 200)
 _SHIFT_ARGS = (((4, 2, 1.0, 0.5), (3, 3, 1.0, 1.0), (6, 1, 0.5, 0.1)),)
 CHECKS = (
     Check("constants", constants, (), ()),
@@ -258,7 +275,7 @@ CHECKS = (
     Check("product_criterion", product_criterion, ((4, 8),), ((2, 4, 8, 16, 32, 64),)),
     Check("partial_products", partial_products, ((4, 8),), (_ALL_K,)),
     Check("scalar_claims", scalar_claims, (1e-3,), (1e-4,)),
-    Check("overlap_kernels", overlap_kernels, (100, 7), (100, 1)),
+    Check("overlap_kernels", overlap_kernels, (100, 7, _PATH_NS), (100, 1, _PATH_NS)),
     Check("overlap_mc", overlap_mc, (((3, 1, 1.0, 97), (4, 2, 1.0, 97)), 10**5),
           (((3, 1, 1.0, 97), (4, 2, 1.0, 97), (6, 3, 1.5, 97), (5, 0, 1.0, 97)), 10**5)),
     Check("simulator_oracle", simulator_oracle, (3, 5), (4, 25)),

@@ -20,8 +20,8 @@ from .constants import E, L
 
 
 def _cell(value) -> str:
-    """One CSV cell: 17-significant-digit floats, lower-case bools, empty for None/NaN."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
+    """One CSV cell: 17-significant-digit floats, lower-case bools, empty for None, NaN and +-inf."""
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return ""
     if isinstance(value, bool):
         return str(value).lower()
@@ -31,12 +31,12 @@ def _cell(value) -> str:
 
 
 def _json_ready(obj):
-    """`obj` with every NaN replaced by None, so that it dumps to valid JSON."""
+    """`obj` with every NaN and +-inf replaced by None, so that it dumps to valid JSON."""
     if isinstance(obj, dict):
         return {key: _json_ready(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(value) for value in obj]
-    if isinstance(obj, float) and math.isnan(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
@@ -182,18 +182,23 @@ def _cmd_overlap(args) -> int:
     spec = stochastics.OverlapSpec(l=args.l, k=args.k, x=args.x)
     prng.require_seeds(args.seed)  # --seed is range-checked even without --mc-trials
     est = None if args.mc_trials is None else stochastics.overlap_probability_mc(spec, args.mc_trials, args.seed)
-    exact = stochastics.overlap_probability_exact(spec)
+    log_exact = stochastics.log_overlap_probability(spec)
     payload = {
         "l": args.l,
         "k": args.k,
         "x": args.x,
-        "exact": exact,
+        "exact": math.exp(log_exact),
+        "log_exact": log_exact,
         "g": stochastics.overlap_g(args.k / args.l),
     }
     if 1 <= args.k <= args.l - 1:
-        leading = stochastics.overlap_probability_leading(spec)
-        # leading underflows to 0.0 at large l; the ratio is then undefined
-        payload.update(leading=leading, exact_over_leading=exact / leading if leading else math.nan)
+        # the logs stay finite where the probabilities leave the float range
+        log_leading = stochastics.log_overlap_probability_leading(spec)
+        payload.update(
+            leading=stochastics.overlap_probability_leading(spec),
+            log_leading=log_leading,
+            exact_over_leading=math.exp(log_exact - log_leading),
+        )
     if est is not None:
         payload.update(
             mc_estimate=est.estimate, mc_stderr=est.stderr, mc_trials=args.mc_trials, mc_seed=args.seed

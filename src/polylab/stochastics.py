@@ -2,24 +2,22 @@
 
 Covers the Erlang lower tail with its sharp multiplicative correction, the
 joint small-energy probability of two paths sharing part of their edges
-(exact by adaptive quadrature, leading-order in closed form, and by a
-seeded Monte Carlo oracle), and the ratio that the shift inequality
-bounds between thresholds a and a + b.
+(exact as a positive series summed in log space, leading-order in closed
+form, and by a seeded Monte Carlo oracle), and the ratio that the shift
+inequality bounds between thresholds a and a + b.  The exact kernels come
+as logs, finite for every valid input; the probabilities are their exp.
 """
 
+import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from . import UsageError, prng
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -62,25 +60,38 @@ def erlang_tail_ratio(l: int, x: float) -> float:
     raise ArithmeticError("tail ratio series failed to converge")
 
 
-def erlang_cdf(l: int, x: float) -> float:
-    """P(X_l <= x) for X_l a sum of l independent Exp(1) variables.
+def _log_erlang_sf(l: int, x: float) -> float:
+    """log P(X_l > x) for x >= l: the log of the Poisson masses at 0, ..., l - 1.
+
+    They are streamed downward from the largest, at l - 1, as ratios to it,
+    so that none overflows and the sum stays positive.
+    """
+    top = -x + (l - 1) * math.log(x) - math.lgamma(l)
+    masses = itertools.accumulate(range(l - 1, 0, -1), lambda term, j: term * (j / x), initial=1.0)
+    return top + math.log(math.fsum(masses))
+
+
+def log_erlang_cdf(l: int, x: float) -> float:
+    """log P(X_l <= x) for X_l a sum of l independent Exp(1) variables; -inf at x = 0.
 
     Series branch for x < l (no cancellation, exact in the deep tail);
-    otherwise the complement of the Poisson masses at 0, ..., l - 1, formed
-    downward from the largest in log space so that none overflows.
+    otherwise log1p of minus the upper tail, the Poisson masses at
+    0, ..., l - 1.  Finite for every positive x, however small or large.
     """
     if l < 1:
         raise UsageError(f"l must be positive, got {l}")
     if not 0.0 <= x < math.inf:
         raise UsageError(f"x must be nonnegative and finite, got {x}")
     if x == 0.0:
-        return 0.0
+        return -math.inf
     if x < l:
-        k = erlang_tail_ratio(l, x)
-        return (1.0 + k) * math.exp(-x + l * math.log(x) - math.lgamma(l + 1))
-    top = math.exp(-x + (l - 1) * math.log(x) - math.lgamma(l))  # Poisson mass at l - 1, the largest
-    masses = itertools.accumulate(range(l - 1, 0, -1), lambda term, j: term * (j / x), initial=top)
-    return 1.0 - math.fsum(masses)
+        return (-x + l * math.log(x) - math.lgamma(l + 1)) + math.log1p(erlang_tail_ratio(l, x))
+    return math.log1p(-math.exp(_log_erlang_sf(l, x)))
+
+
+def erlang_cdf(l: int, x: float) -> float:
+    """P(X_l <= x), the exp of `log_erlang_cdf`."""
+    return math.exp(log_erlang_cdf(l, x))
 
 
 def overlap_g(gamma: float) -> float:
@@ -96,37 +107,83 @@ def overlap_g(gamma: float) -> float:
     return (4.0 * u) ** u / (2.0 - gamma) ** (2.0 - gamma)
 
 
-def overlap_probability_exact(spec: OverlapSpec) -> float:
-    """P(X_l <= x, X'_l <= x) for two sums sharing the first k terms.
+_LOG_2 = math.log(2.0)
+# A probability within 2^-54 of 1, half the spacing of the floats just below 1, rounds to 1.0.
+_LOG_HALF_ULP_BELOW_1 = -54 * _LOG_2
+# The series stops once its remaining terms sum to below 2^-60 of the probability.
+_LOG_SERIES_TAIL = -60 * _LOG_2
+# The largest log whose exp is a finite float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-    Conditioning on the shared trunk gives
-    int_0^x P(X_{l-k} <= x - t)^2 t^{k-1} e^{-t}/(k-1)! dt for 0 < k < l;
-    k = 0 is the independent square and k = l the single CDF.  Quadrature is
-    adaptive Gauss-Kronrod with relative target 1e-10 and absolute floor
-    1e-300; non-convergence raises QuadratureError.
+
+def _log_factorials(start: int, count: int) -> np.ndarray:
+    """log j! for j = start, ..., start + count - 1, each from its own lgamma so that no error accumulates."""
+    return np.fromiter(map(math.lgamma, range(start + 1, start + count + 1)), float, count)
+
+
+def log_overlap_probability(spec: OverlapSpec) -> float:
+    """log P(X_l <= x, X'_l <= x) for two sums sharing the first k terms.
+
+    k = 0 is the independent square and k = l the single CDF.  For 0 < k < l
+    and m = l - k, conditioning on the shared trunk T ~ Gamma(k) and
+    expanding P(X_m <= y)^2 = e^{-2y} sum_{a,b >= m} y^{a+b}/(a! b!) and
+    e^t term by term gives the positive series
+
+        P = e^{-2x} sum_{N >= 2m+k} D_N x^N / N!,
+        D_N = sum_s W_s C(N-s-1, k-1),  W_s = sum_{a=m}^{s-m} C(s, a).
+
+    Every term is positive, so the sum is formed in log space, where nothing
+    cancels, underflows or overflows.  W comes from the positive recurrence
+    W_{s+1} = 2 W_s + 2 C(s, m-1) from W_{2m-1} = 0, and D from k prefix
+    sums of W; memory is linear in the number of terms.
+
+    Since D_N <= 2^N, the terms past N sum to at most the Poisson(2x) tail
+    past N.  The series stops where that tail falls below 2^-60 of a lower
+    bound on P: its first term, or P(X_l <= x)^2 (both events fall as the
+    shared weights grow, so Harris's inequality applies).  Where
+    2 P(X_l > x), which bounds 1 - P from above, is below half the float
+    spacing under 1, P rounds to 1 and the log is exactly 0.0.
     """
     l, k, x = spec.l, spec.k, spec.x
     if k == 0:
-        return erlang_cdf(l, x) ** 2
+        return 2.0 * log_erlang_cdf(l, x)
     if k == l:
-        return erlang_cdf(l, x)
-    log_gamma_k = math.lgamma(k)
+        return log_erlang_cdf(l, x)
+    if x >= l and _LOG_2 + _log_erlang_sf(l, x) < _LOG_HALF_ULP_BELOW_1:
+        return 0.0
+    m = l - k
+    first = 2 * m + k
+    log_x, lam = math.log(x), 2.0 * x
+    log_first = math.lgamma(2 * m + 1) - 2.0 * math.lgamma(m + 1) + first * log_x - math.lgamma(first + 1) - lam
+    floor = max(log_first, 2.0 * log_erlang_cdf(l, x)) + _LOG_SERIES_TAIL
 
-    def integrand(t: float) -> float:
-        if t <= 0.0:  # a subnormal x rounds a Gauss-Kronrod node onto t = 0
-            tail = erlang_cdf(l - 1, x) if k == 1 else 0.0
-            return tail * tail
-        tail = erlang_cdf(l - k, max(x - t, 0.0))
-        return tail * tail * math.exp((k - 1) * math.log(t) - t - log_gamma_k)
+    def tail_negligible(last: int) -> bool:
+        # the Poisson(lam) masses past `last` under a geometric series: valid, and falling, for last >= lam
+        log_tail = -lam + (last + 1) * math.log(lam) - math.lgamma(last + 2) - math.log1p(-lam / (last + 2))
+        return log_tail <= floor
 
-    value, abserr = integrate.quad(integrand, 0.0, x, epsabs=1e-300, epsrel=1e-10, limit=200)
-    if abserr > max(1e-12, 1e-8 * abs(value)):
-        raise QuadratureError(f"quadrature error {abserr:.3e} too large for value {value:.3e}")
-    return min(value, 1.0)  # the quadrature's rounding can carry a probability near 1 a few ulps above it
+    start = max(first, math.ceil(lam))
+    count = start - first + 1 + bisect.bisect_left(range(start, start + 2**40), True, key=tail_negligible)
+    # log(W_s / 2^s) = log sum_{t=2m-1}^{s-1} C(t, m-1) / 2^t, one entry per s = 2m, 2m+1, ...
+    t = np.arange(2 * m - 1, 2 * m - 1 + count)
+    log_binomial = _log_factorials(2 * m - 1, count) - math.lgamma(m) - _log_factorials(m, count)
+    log_d = np.logaddexp.accumulate(log_binomial - t * _LOG_2) + (t + 1) * _LOG_2
+    for _ in range(k):
+        log_d = np.logaddexp.accumulate(log_d)  # D_N = W convolved with C(j+k-1, k-1) at N = s + k
+    terms = log_d + (np.arange(first, first + count) * log_x - _log_factorials(first, count)) - lam
+    top = terms.max()
+    # each log carries rounding of order 1e-16 of the largest logs it was formed from (lgamma(N + 1)
+    # and the prefix sums): 5e-14 at (14, 13, 70), where P = 1 - 1e-16 came out above 1 unclamped
+    return min(top + math.log(np.exp(terms - top).sum()), 0.0)
 
 
-def overlap_probability_leading(spec: OverlapSpec) -> float:
-    """Leading form x^{2l-k} / ((l-k)! l!) g(k/l)^l, evaluated in log space.
+def overlap_probability_exact(spec: OverlapSpec) -> float:
+    """P(X_l <= x, X'_l <= x), the exp of `log_overlap_probability`."""
+    return math.exp(log_overlap_probability(spec))
+
+
+def log_overlap_probability_leading(spec: OverlapSpec) -> float:
+    """log of the leading form x^{2l-k} / ((l-k)! l!) g(k/l)^l.
 
     Proportional to the exact probability as x -> 0, with an order-one
     constant that the exact/leading ratio tests pin down numerically.
@@ -134,13 +191,18 @@ def overlap_probability_leading(spec: OverlapSpec) -> float:
     l, k, x = spec.l, spec.k, spec.x
     if not 1 <= k <= l - 1:
         raise UsageError(f"leading form needs 1 <= k <= l-1, got k={k}, l={l}")
-    log_value = (
+    return (
         (2 * l - k) * math.log(x)
         - math.lgamma(l - k + 1)
         - math.lgamma(l + 1)
         + l * math.log(overlap_g(k / l))
     )
-    return math.exp(log_value)
+
+
+def overlap_probability_leading(spec: OverlapSpec) -> float:
+    """The leading form itself; inf where it exceeds the float range."""
+    log_value = log_overlap_probability_leading(spec)
+    return math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
 
 
 class McEstimate(NamedTuple):
@@ -203,12 +265,13 @@ def shift_ratio(l: int, k: int, a: float, b: float) -> float:
     """lhs / [P(both <= a) (1 + b/a)^{2l-k}] for lhs = P(both <= a+b).
 
     The shift inequality bounds this ratio by an unspecified order-one
-    constant; `checks.shift_inequality` judges it.
+    constant; `checks.shift_inequality` judges it.  Formed from logs, so it
+    stays defined where both probabilities underflow.
     """
     if not 1 <= k <= l:
         raise UsageError(f"need 1 <= k <= l, got k={k}, l={l}")
     if not (a > 0.0 and b > 0.0):
         raise UsageError(f"shifts must be positive, got a={a}, b={b}")
-    lhs = overlap_probability_exact(OverlapSpec(l=l, k=k, x=a + b))
-    base = overlap_probability_exact(OverlapSpec(l=l, k=k, x=a))
-    return lhs / (base * (1.0 + b / a) ** (2 * l - k))
+    log_lhs = log_overlap_probability(OverlapSpec(l=l, k=k, x=a + b))
+    log_base = log_overlap_probability(OverlapSpec(l=l, k=k, x=a))
+    return math.exp(log_lhs - log_base - (2 * l - k) * math.log1p(b / a))

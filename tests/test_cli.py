@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,15 +18,21 @@ def run_cli(capsys, *argv):
 
 
 def run_fresh_process(*argv):
-    """(exit code, stdout, peak RSS in MiB) of `main(argv)` in a new interpreter."""
+    """(exit code, stdout, peak RSS in MiB) of `main(argv)` in a new interpreter.
+
+    The peak is the new interpreter's own VmHWM: its ru_maxrss would also
+    count the resident set of this process, which the child inherits at
+    spawn, so a bound below the test runner's own size could never fail.
+    """
     src = str(Path(polylab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = (
-        "import resource, sys; from polylab.cli import main; status = main(sys.argv[1:]); "
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(status)"
+        "import sys; from polylab.cli import main; status = main(sys.argv[1:]); "
+        "print(*(line for line in open('/proc/self/status') if line.startswith('VmHWM:')), file=sys.stderr); "
+        "sys.exit(status)"
     )
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stdout, int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    return proc.returncode, proc.stdout, int(proc.stderr.split()[-2]) / 1024  # "VmHWM: <n> kB"
 
 
 class TestCount:
@@ -139,11 +146,55 @@ class TestOverlap:
         assert payload["exact"] == pytest.approx(payload["leading"] * payload["exact_over_leading"])
 
     def test_underflowing_leading_term(self, capsys):
+        # both probabilities underflow to 0.0; their logs and their ratio stay defined
         code, out, _ = run_cli(capsys, "overlap", "--l", "150", "--k", "75", "--x", "0.5")
         assert code == 0
         payload = json.loads(out)
-        assert payload["leading"] == 0.0
-        assert payload["exact_over_leading"] is None
+        assert payload["exact"] == payload["leading"] == 0.0
+        assert -1100.0 < payload["log_exact"] < payload["log_leading"] < -1000.0
+        assert 0.0 < payload["exact_over_leading"] < 1.0
+        assert payload["exact_over_leading"] == math.exp(payload["log_exact"] - payload["log_leading"])
+
+    def test_overflowing_leading_term(self, capsys):
+        # x^(2l-k) overflows the leading form, which is written as null; the exact kernel is near 1
+        code, out, _ = run_cli(capsys, "overlap", "--l", "300", "--k", "1", "--x", "400")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["leading"] is None
+        assert payload["log_leading"] > 709.8
+        assert 0.99 < payload["exact"] < 1.0
+        assert payload["exact_over_leading"] == 0.0
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_largest_threshold_saturates(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "overlap", "--l", "3", "--k", "1", "--x", "1e308", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            header, row = (line.split(",") for line in out.splitlines())
+            payload = dict(zip(header, row))
+            assert payload["leading"] == ""
+            assert float(payload["exact"]) == 1.0
+        else:
+            payload = json.loads(out)
+            assert payload["leading"] is None
+            assert payload["exact"] == 1.0
+            assert payload["log_exact"] == 0.0
+
+    def test_smallest_threshold_keeps_finite_logs(self, capsys):
+        code, out, _ = run_cli(capsys, "overlap", "--l", "3", "--k", "1", "--x", "5e-324")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact"] == payload["leading"] == 0.0
+        assert all(math.isfinite(payload[key]) for key in ("log_exact", "log_leading", "exact_over_leading"))
+
+    def test_large_cell_peak_memory(self):
+        # a fresh process peaked at 62 MiB, numpy and scipy imports included, on a
+        # 2-vCPU x86 host, as it does for l = 8; the series keeps about 1,600
+        # terms here, so a terms x terms table (about 20 MiB) would exceed the bound
+        code, out, peak_mib = run_fresh_process("overlap", "--l", "2000", "--k", "1000", "--x", "2000")
+        assert code == 0
+        assert 0.0 < json.loads(out)["exact"] < 1.0
+        assert peak_mib < 62 + 15
 
     def test_with_mc(self, capsys):
         code, out, _ = run_cli(
@@ -154,14 +205,14 @@ class TestOverlap:
         assert abs(payload["mc_estimate"] - payload["exact"]) <= 5 * payload["mc_stderr"] + 1e-3
 
     def test_ten_million_trials_peak_memory(self):
-        # a fresh process peaked at 82 MiB, numpy and scipy imports included,
-        # on a 2-vCPU x86 host (81 MiB with no trials); the bound is 1.5x
+        # a fresh process peaked at 63 MiB, numpy and scipy imports included,
+        # on a 2-vCPU x86 host (62 MiB with no trials); the bound is 1.5x
         # that.  Drawing every trial at once had peaked at 539 MiB.
         argv = ("overlap", "--l", "4", "--k", "2", "--x", "1.0", "--mc-trials", "10000000", "--seed", "3")
         code, out, peak_mib = run_fresh_process(*argv)
         assert code == 0
         assert json.loads(out)["mc_estimate"] == 0.0024838
-        assert peak_mib < 1.5 * 82
+        assert peak_mib < 1.5 * 63
 
 
 class TestSimulate:
@@ -218,11 +269,11 @@ class TestSimulate:
         assert json.loads(out)["trials"][0]["m_n"] > 0.0
 
     def test_n24_peak_memory(self):
-        # a fresh process peaked at 129 MiB, numpy and scipy imports included,
+        # a fresh process peaked at 111 MiB, numpy and scipy imports included,
         # on a 2-vCPU x86 host; the bound is 1.5x that
         code, _, peak_mib = run_fresh_process("simulate", "--n", "24", "--trials", "1", "--seed", "0")
         assert code == 0
-        assert peak_mib < 1.5 * 129
+        assert peak_mib < 1.5 * 111
 
 
 @pytest.mark.parametrize(
@@ -286,3 +337,17 @@ class TestVerify:
 
         monkeypatch.setattr(checks, "CHECKS", (checks.Check("crash", crash, (), ()),))
         assert run_cli(capsys, "verify", "--fast") == (1, "crash  FAIL  error: boom\noverall: FAIL\n", "")
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # only scipy.sparse.csgraph is needed; scipy.integrate alone pulled in about
+    # 200 more modules, a third of every command's start-up
+    src = str(Path(polylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys; from polylab import cli; "
+        "print(*sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

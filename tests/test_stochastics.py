@@ -1,6 +1,6 @@
+import functools
 import math
-from types import SimpleNamespace
-
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,24 +144,22 @@ class TestOverlapProbabilityExact:
 
     @pytest.mark.parametrize("l,k,x", [(2, 1, 5e-324), (3, 2, 1e-323), (3, 1, 5e-324), (4, 3, 2e-323)])
     def test_subnormal_x(self, l, k, x):
-        # the rounded midpoint of [0, x] is a quadrature node at t = 0; the integrand must take it
+        # the probability underflows, while its log stays finite
         assert stochastics.overlap_probability_exact(OverlapSpec(l, k, x)) == 0.0
+        assert -math.inf < stochastics.log_overlap_probability(OverlapSpec(l, k, x)) < -700.0
 
     def test_never_above_one(self):
-        # near 1 the quadrature's rounding used to leave up to 12 ulps above it (l=2, k=1, x=800)
+        # near 1 the series' rounding can leave its log up to 5e-14 above 0 (l=14, k=13, x=70)
         for l in range(1, 13):
             for k in range(l + 1):
                 for x in (5.0, 10.0, 20.0, 40.0, 80.0, 200.0, 800.0, 1e4, 1e6):
                     assert stochastics.overlap_probability_exact(OverlapSpec(l, k, x)) <= 1.0, (l, k, x)
 
-    def test_kernel_check_catches_a_biased_quadrature(self, monkeypatch):
-        # the l = 2, k = 1 closed form goes through the quadrature, so a bias of 1e-8 must fail it
-        def biased_quad(*args, **kwargs):
-            value, abserr = integrate.quad(*args, **kwargs)
-            return value * (1.0 + 1e-8), abserr
-
-        monkeypatch.setattr(stochastics, "integrate", SimpleNamespace(quad=biased_quad))
-        passed, detail = checks.overlap_kernels(100, 7)
+    def test_kernel_check_catches_a_biased_kernel(self, monkeypatch):
+        # the l = 2, k = 1 closed form goes through the series, so a relative bias of 1e-8 must fail it
+        unbiased = stochastics.log_overlap_probability
+        monkeypatch.setattr(stochastics, "log_overlap_probability", lambda spec: unbiased(spec) + math.log1p(1e-8))
+        passed, detail = checks.overlap_kernels(100, 7, (16, 64, 128, 200))
         assert not passed
         assert detail == "l=2, k=1 closed form mismatch at x=1.0"
 
@@ -184,6 +182,108 @@ class TestOverlapProbabilityExact:
         exact = stochastics.overlap_probability_exact(spec)
         est = stochastics.overlap_probability_mc(spec, 10**6, seed=7)
         assert abs(est.estimate - exact) <= 3.0 * est.stderr
+
+
+@functools.cache
+def _pair_count(m: int, s: int) -> int:
+    """W_s = sum_{a=m}^{s-m} C(s, a), as an exact integer."""
+    return sum(math.comb(s, a) for a in range(m, s - m + 1))
+
+
+def _series_coefficient(l: int, k: int, n: int) -> int:
+    """D_N = sum_s W_s C(N-s-1, k-1), as an exact integer."""
+    return sum(_pair_count(l - k, s) * math.comb(n - s - 1, k - 1) for s in range(2 * (l - k), n - k + 1))
+
+
+def _rational_series(l: int, k: int, x: float) -> mpmath.mpf:
+    """log P from the positive series with exact integer D_N, summed at 50 digits; 0 < k < l."""
+    x = mpmath.mpf(x)
+    total, n = mpmath.mpf(0), 2 * (l - k) + k
+    while True:
+        term = _series_coefficient(l, k, n) * mpmath.power(x, n) / mpmath.factorial(n)
+        total += term
+        if n > 2 * x and term < total * mpmath.mpf(10) ** -45:
+            return mpmath.log(total) - 2 * x
+        n += 1
+
+
+def _quadrature(l: int, k: int, x: float) -> float:
+    """P by adaptive quadrature over the shared trunk, with scipy's incomplete gamma for the tails."""
+    if k in (0, l):
+        return float(special.gammainc(l, x)) ** (2 if k == 0 else 1)
+    log_gamma_k = math.lgamma(k)
+
+    def integrand(t: float) -> float:
+        tail = float(special.gammainc(l - k, x - t))
+        return tail * tail * math.exp((k - 1) * math.log(t) - t - log_gamma_k) if t > 0.0 else 0.0
+
+    return integrate.quad(integrand, 0.0, x, epsabs=1e-300, epsrel=1e-10, limit=200)[0]
+
+
+class TestLogOverlapProbability:
+    def test_matches_the_rational_series(self):
+        # exact integer coefficients at 50 digits; below the float range P exists
+        # only as its log, whose last place is itself about 4e-12 of P at x = 5e-324
+        with mpmath.workdps(50):
+            for l in range(1, 13):
+                for k in range(l + 1):
+                    for x in (5e-324, 0.1, 0.5, 1.0, E, 2.0, 5.0, 30.0):
+                        if k in (0, l):
+                            cdf = mpmath.gammainc(l, 0, x, regularized=True)
+                            ref = mpmath.log(cdf) * (2 if k == 0 else 1)
+                        else:
+                            ref = _rational_series(l, k, x)
+                        got = stochastics.log_overlap_probability(OverlapSpec(l, k, x))
+                        if ref > -700:
+                            assert abs(mpmath.expm1(got - ref)) <= 1e-13, (l, k, x)
+                        else:
+                            assert abs(got - ref) <= 1e-13 * abs(ref), (l, k, x)
+
+    def test_matches_quadrature(self):
+        # quadrature has an absolute floor of 1e-300: at (120, 60, E) it is off by 4e-7
+        for l in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 120):
+            for k in sorted({0, 1, l // 4, l // 2, 3 * l // 4, l - 1, l}):
+                for x in (0.5, 1.0, E, 2.0, 5.0, 30.0, 100.0, 200.0):
+                    ref = _quadrature(l, k, x)
+                    if ref > 1e-290:
+                        got = stochastics.overlap_probability_exact(OverlapSpec(l, k, x))
+                        assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (l, k, x)
+
+    @pytest.mark.parametrize("l,k", [(2, 1), (3, 1), (12, 6), (300, 1), (1000, 999)])
+    def test_largest_threshold_is_exactly_one(self, l, k):
+        # 2 P(X_l > x) bounds 1 - P and is far below half the float spacing under 1
+        assert stochastics.log_overlap_probability(OverlapSpec(l, k, 1e308)) == 0.0
+        assert stochastics.overlap_probability_exact(OverlapSpec(l, k, 1e308)) == 1.0
+
+    @pytest.mark.parametrize("l", [2, 12, 150, 600])
+    def test_logs_finite_at_the_smallest_threshold(self, l):
+        for k in range(l + 1):
+            value = stochastics.log_overlap_probability(OverlapSpec(l, k, 5e-324))
+            assert -math.inf < value < 0.0, (l, k)
+
+    def test_path_scale_ratio_to_leading_form(self):
+        # l = ceil(L n), k = l/2, x = E for n = 16, 64, 128, 200
+        ratios = []
+        for l in (20, 80, 160, 250):
+            spec = OverlapSpec(l, l // 2, E)
+            log_ratio = stochastics.log_overlap_probability(spec) - stochastics.log_overlap_probability_leading(spec)
+            ratios.append(math.exp(log_ratio))
+        assert ratios == pytest.approx([0.294, 0.273, 0.269, 0.268], abs=5e-4)
+        assert ratios == sorted(ratios, reverse=True)
+
+
+class TestLogErlangCdf:
+    def test_against_regularized_gamma(self):
+        for l in (1, 2, 5, 30, 200, 1000):
+            for x in (1e-300, 0.05, 1.0, E, 40.0, 999.0, 1500.0):
+                ref = mpmath.log(mpmath.gammainc(l, 0, x, regularized=True))
+                got = stochastics.log_erlang_cdf(l, x)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (l, x)
+
+    def test_extreme_thresholds(self):
+        assert stochastics.log_erlang_cdf(3, 0.0) == -math.inf
+        assert -math.inf < stochastics.log_erlang_cdf(3, 5e-324) < -2000.0
+        assert stochastics.log_erlang_cdf(3, 1e308) == 0.0
 
 
 class TestOverlapProbabilityLeading:
@@ -282,6 +382,11 @@ class TestOverlapProbabilityMc:
 
 
 class TestShiftInequality:
+    def test_defined_where_both_probabilities_underflow(self):
+        ratio = stochastics.shift_ratio(150, 75, 0.5, 0.1)
+        assert stochastics.overlap_probability_exact(OverlapSpec(150, 75, 0.6)) == 0.0
+        assert 0.0 < ratio < 10.0
+
     def test_reports_measured_ratio(self):
         ratio = stochastics.shift_ratio(4, 2, 1.0, 0.5)
         lhs = stochastics.overlap_probability_exact(OverlapSpec(4, 2, 1.5))
