@@ -11,7 +11,6 @@ as logs, finite for every valid input; the probabilities are their exp.
 import bisect
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,8 +111,6 @@ _LOG_2 = math.log(2.0)
 _LOG_HALF_ULP_BELOW_1 = -54 * _LOG_2
 # The series stops once its remaining terms sum to below 2^-60 of the probability.
 _LOG_SERIES_TAIL = -60 * _LOG_2
-# The largest log whose exp is a finite float.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _log_factorials(start: int, count: int) -> np.ndarray:
@@ -202,7 +199,10 @@ def log_overlap_probability_leading(spec: OverlapSpec) -> float:
 def overlap_probability_leading(spec: OverlapSpec) -> float:
     """The leading form itself; inf where it exceeds the float range."""
     log_value = log_overlap_probability_leading(spec)
-    return math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 class McEstimate(NamedTuple):

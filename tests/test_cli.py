@@ -17,6 +17,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(code, *argv):
+    """`python -c code argv` in a new interpreter that imports this checkout's polylab."""
+    src = str(Path(polylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
+
+
 def run_fresh_process(*argv):
     """(exit code, stdout, peak RSS in MiB) of `main(argv)` in a new interpreter.
 
@@ -24,14 +31,12 @@ def run_fresh_process(*argv):
     count the resident set of this process, which the child inherits at
     spawn, so a bound below the test runner's own size could never fail.
     """
-    src = str(Path(polylab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = (
+    proc = run_python(
         "import sys; from polylab.cli import main; status = main(sys.argv[1:]); "
         "print(*(line for line in open('/proc/self/status') if line.startswith('VmHWM:')), file=sys.stderr); "
-        "sys.exit(status)"
+        "sys.exit(status)",
+        *argv,
     )
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stdout, int(proc.stderr.split()[-2]) / 1024  # "VmHWM: <n> kB"
 
 
@@ -190,7 +195,7 @@ class TestOverlap:
     def test_large_cell_peak_memory(self):
         # a fresh process peaked at 62 MiB, numpy and scipy imports included, on a
         # 2-vCPU x86 host, as it does for l = 8; the series keeps about 1,600
-        # terms here, so a terms x terms table (about 20 MiB) would exceed the bound
+        # terms here, so a terms x terms table (about 19 MiB) would exceed the bound
         code, out, peak_mib = run_fresh_process("overlap", "--l", "2000", "--k", "1000", "--x", "2000")
         assert code == 0
         assert 0.0 < json.loads(out)["exact"] < 1.0
@@ -342,12 +347,9 @@ class TestVerify:
 def test_import_loads_no_heavy_scipy_subpackage():
     # only scipy.sparse.csgraph is needed; scipy.integrate alone pulled in about
     # 200 more modules, a third of every command's start-up
-    src = str(Path(polylab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = (
+    proc = run_python(
         "import sys; from polylab import cli; "
         "print(*sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"

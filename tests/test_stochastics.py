@@ -261,16 +261,6 @@ class TestLogOverlapProbability:
             value = stochastics.log_overlap_probability(OverlapSpec(l, k, 5e-324))
             assert -math.inf < value < 0.0, (l, k)
 
-    def test_path_scale_ratio_to_leading_form(self):
-        # l = ceil(L n), k = l/2, x = E for n = 16, 64, 128, 200
-        ratios = []
-        for l in (20, 80, 160, 250):
-            spec = OverlapSpec(l, l // 2, E)
-            log_ratio = stochastics.log_overlap_probability(spec) - stochastics.log_overlap_probability_leading(spec)
-            ratios.append(math.exp(log_ratio))
-        assert ratios == pytest.approx([0.294, 0.273, 0.269, 0.268], abs=5e-4)
-        assert ratios == sorted(ratios, reverse=True)
-
 
 class TestLogErlangCdf:
     def test_against_regularized_gamma(self):
