@@ -115,9 +115,13 @@ def scalar_claims(grid_step: float) -> tuple[bool, str]:
     return True, "all five items pass"
 
 
-def overlap_kernels(g_steps: int, l_step: int, path_ns: Sequence[int]) -> tuple[bool, str]:
+# path scale: n for the cells l = ceil(L n) of overlap_kernels
+_PATH_NS = (16, 64, 128, 200)
+
+
+def overlap_kernels(g_steps: int, l_step: int) -> tuple[bool, str]:
     """g <= 1 on a grid of [0, 1], the Erlang tail-ratio bound, the l = 2, k = 1 closed form,
-    and, at path scale l = ceil(L n), k = l/4, l/2, 3l/4 and x = E for each n in `path_ns`,
+    and, at path scale l = ceil(L n), k = l/4, l/2, 3l/4 and x = E for each n in _PATH_NS,
     a finite log kernel with 0 < exact/leading < 1."""
     for i in range(g_steps + 1):
         if stochastics.overlap_g(i / g_steps) > 1.0 + 1e-12:
@@ -131,7 +135,7 @@ def overlap_kernels(g_steps: int, l_step: int, path_ns: Sequence[int]) -> tuple[
         if abs(stochastics.overlap_probability_exact(stochastics.OverlapSpec(l=2, k=1, x=x)) - closed) > 1e-10:
             return False, f"l=2, k=1 closed form mismatch at x={x}"
     halves = []
-    for n in path_ns:
+    for n in _PATH_NS:
         l = math.ceil(L * n)
         for k in (l // 4, l // 2, 3 * l // 4):
             spec = stochastics.OverlapSpec(l=l, k=k, x=E)
@@ -143,7 +147,7 @@ def overlap_kernels(g_steps: int, l_step: int, path_ns: Sequence[int]) -> tuple[
                 halves.append(f"{ratio:.3f}")
     return True, (
         "g bounded, tail ratio bounded, closed forms consistent; "
-        f"exact/leading {', '.join(halves)} at l=ceil(L n), k=l/2, x=E for n={tuple(path_ns)}"
+        f"exact/leading {', '.join(halves)} at l=ceil(L n), k=l/2, x=E for n={_PATH_NS}"
     )
 
 
@@ -263,7 +267,6 @@ class Check(NamedTuple):
 
 
 _ALL_K = tuple(range(1, 65))
-_PATH_NS = (16, 64, 128, 200)
 _SHIFT_ARGS = (((4, 2, 1.0, 0.5), (3, 3, 1.0, 1.0), (6, 1, 0.5, 0.1)),)
 CHECKS = (
     Check("constants", constants, (), ()),
@@ -275,7 +278,7 @@ CHECKS = (
     Check("product_criterion", product_criterion, ((4, 8),), ((2, 4, 8, 16, 32, 64),)),
     Check("partial_products", partial_products, ((4, 8),), (_ALL_K,)),
     Check("scalar_claims", scalar_claims, (1e-3,), (1e-4,)),
-    Check("overlap_kernels", overlap_kernels, (100, 7, _PATH_NS), (100, 1, _PATH_NS)),
+    Check("overlap_kernels", overlap_kernels, (100, 7), (100, 1)),
     Check("overlap_mc", overlap_mc, (((3, 1, 1.0, 97), (4, 2, 1.0, 97)), 10**5),
           (((3, 1, 1.0, 97), (4, 2, 1.0, 97), (6, 3, 1.5, 97), (5, 0, 1.0, 97)), 10**5)),
     Check("simulator_oracle", simulator_oracle, (3, 5), (4, 25)),

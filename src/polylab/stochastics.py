@@ -12,9 +12,10 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import UsageError, prng
 
@@ -109,13 +110,29 @@ def overlap_g(gamma: float) -> float:
 _LOG_2 = math.log(2.0)
 # A probability within 2^-54 of 1, half the spacing of the floats just below 1, rounds to 1.0.
 _LOG_HALF_ULP_BELOW_1 = -54 * _LOG_2
-# The series stops once its remaining terms sum to below 2^-60 of the probability.
+# Each of the four tails the series drops sums to below 2^-60 of the probability.
 _LOG_SERIES_TAIL = -60 * _LOG_2
+# Entries of the (N, j) table formed at once: 0.5 MiB an array, whatever the number of terms.
+_TABLE_BLOCK = 1 << 16
 
 
 def _log_factorials(start: int, count: int) -> np.ndarray:
     """log j! for j = start, ..., start + count - 1, each from its own lgamma so that no error accumulates."""
     return np.fromiter(map(math.lgamma, range(start + 1, start + count + 1)), float, count)
+
+
+def _log_chernoff(n: int, a: float) -> float:
+    """log e^{-n KL(a || 1/2)}: the Chernoff bound on P(Bin(n, 1/2) >= a n) for a >= 1/2,
+    and on P(Bin(n, 1/2) <= a n) for a <= 1/2."""
+    return -n * (_LOG_2 + sum(p * math.log(p) for p in (a, 1.0 - a) if p > 0.0))
+
+
+def _first_true(lo: int, key: Callable[[int], bool]) -> int:
+    """The least n >= lo with key(n), for key false and then true: steps doubling from lo, then bisection."""
+    hi, step = lo, 1
+    while not key(hi):
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    return lo + bisect.bisect_left(range(lo, hi), True, key=key)
 
 
 def log_overlap_probability(spec: OverlapSpec) -> float:
@@ -129,17 +146,28 @@ def log_overlap_probability(spec: OverlapSpec) -> float:
         P = e^{-2x} sum_{N >= 2m+k} D_N x^N / N!,
         D_N = sum_s W_s C(N-s-1, k-1),  W_s = sum_{a=m}^{s-m} C(s, a).
 
-    Every term is positive, so the sum is formed in log space, where nothing
-    cancels, underflows or overflows.  W comes from the positive recurrence
-    W_{s+1} = 2 W_s + 2 C(s, m-1) from W_{2m-1} = 0, and D from k prefix
-    sums of W; memory is linear in the number of terms.
+    Scaled by 2^N it reads P = sum_N pi(N) sum_j nb(j) w(N - j), with pi the
+    Poisson(2x) masses, nb(j) = C(j-1, k-1) / 2^j the law of the trial of
+    the k-th head in fair coin tosses, and w(s) = W_s / 2^s = P(m <=
+    Bin(s, 1/2) <= s - m).  Every term is positive, so the sum is formed in
+    log space, where nothing cancels, underflows or overflows.  w comes from
+    one prefix sum of the positive increments C(s, m-1) / 2^s; each nb and pi
+    from its own lgamma values.
 
-    Since D_N <= 2^N, the terms past N sum to at most the Poisson(2x) tail
-    past N.  The series stops where that tail falls below 2^-60 of a lower
+    The sum keeps N and j where pi and nb have their mass: each tail it drops
+    is bounded, by a geometric series for pi above, by Chernoff bounds for pi
+    below and for nb on both sides, and each falls below 2^-60 of a lower
     bound on P: its first term, or P(X_l <= x)^2 (both events fall as the
-    shared weights grow, so Harris's inequality applies).  Where
-    2 P(X_l > x), which bounds 1 - P from above, is below half the float
-    spacing under 1, P rounds to 1 and the log is exactly 0.0.
+    shared weights grow, so Harris's inequality applies).  The (N, j) table
+    is formed in blocks of _TABLE_BLOCK entries, so memory stays linear in
+    the number of terms.  Where 2 P(X_l > x), which bounds 1 - P from above,
+    is below half the float spacing under 1, P rounds to 1 and the log is
+    exactly 0.0.
+
+    Accuracy: each term carries the rounding of its lgamma values, of size
+    up to log N!, so the relative error is of order 1e-16 log N! at the
+    largest N summed, whatever k.  Against exact integer coefficients at 40
+    digits it was at most 1.3e-12 for l <= 2000 (N up to about 4,400).
     """
     l, k, x = spec.l, spec.k, spec.x
     if k == 0:
@@ -154,24 +182,42 @@ def log_overlap_probability(spec: OverlapSpec) -> float:
     log_first = math.lgamma(2 * m + 1) - 2.0 * math.lgamma(m + 1) + first * log_x - math.lgamma(first + 1) - lam
     floor = max(log_first, 2.0 * log_erlang_cdf(l, x)) + _LOG_SERIES_TAIL
 
-    def tail_negligible(last: int) -> bool:
-        # the Poisson(lam) masses past `last` under a geometric series: valid, and falling, for last >= lam
+    def poisson_above_negligible(last: int) -> bool:
+        # the masses past `last` under a geometric series: valid, and falling, for last >= lam
         log_tail = -lam + (last + 1) * math.log(lam) - math.lgamma(last + 2) - math.log1p(-lam / (last + 2))
         return log_tail <= floor
 
-    start = max(first, math.ceil(lam))
-    count = start - first + 1 + bisect.bisect_left(range(start, start + 2**40), True, key=tail_negligible)
-    # log(W_s / 2^s) = log sum_{t=2m-1}^{s-1} C(t, m-1) / 2^t, one entry per s = 2m, 2m+1, ...
-    t = np.arange(2 * m - 1, 2 * m - 1 + count)
-    log_binomial = _log_factorials(2 * m - 1, count) - math.lgamma(m) - _log_factorials(m, count)
-    log_d = np.logaddexp.accumulate(log_binomial - t * _LOG_2) + (t + 1) * _LOG_2
-    for _ in range(k):
-        log_d = np.logaddexp.accumulate(log_d)  # D_N = W convolved with C(j+k-1, k-1) at N = s + k
-    terms = log_d + (np.arange(first, first + count) * log_x - _log_factorials(first, count)) - lam
-    top = terms.max()
-    # each log carries rounding of order 1e-16 of the largest logs it was formed from (lgamma(N + 1)
-    # and the prefix sums): 5e-14 at (14, 13, 70), where P = 1 - 1e-16 came out above 1 unclamped
-    return min(top + math.log(np.exp(terms - top).sum()), 0.0)
+    n_hi = _first_true(max(first, math.ceil(lam)), poisson_above_negligible)
+    j_max = n_hi - 2 * m  # the longest trunk that leaves both completions m steps
+    # below the mean, P(Poisson <= n) <= e^{-lam} (e lam / n)^n; P(nb <= j) = P(Bin(j, 1/2) >= k)
+    # and P(nb > j) = P(Bin(j, 1/2) < k)
+    n_lo = _first_true(first, lambda n: n >= lam or n - lam + n * math.log(lam / n) > floor)
+    j_lo = _first_true(k, lambda j: j >= 2 * k or _log_chernoff(j, k / j) > floor)
+    j_hi = _first_true(max(k, 2 * k - 2), lambda j: j >= j_max or _log_chernoff(j, (k - 1) / j) <= floor)
+    j_hi = min(j_hi, j_max)
+    n_lo = max(n_lo, j_lo + 2 * m)
+    rows, width, count = n_hi - n_lo + 1, j_hi - j_lo + 1, j_max - k + 1
+    # log w(s) for s = 2m, ..., n_hi - k, after width - 1 entries of log 0 so that every row has a full window
+    s = np.arange(2 * m - 1, 2 * m - 1 + count)
+    log_increments = _log_factorials(2 * m - 1, count) - math.lgamma(m) - _log_factorials(m, count) - s * _LOG_2
+    log_w = np.concatenate((np.full(width - 1, -np.inf), np.logaddexp.accumulate(log_increments)))
+    j = np.arange(j_lo, j_hi + 1)
+    log_nb = _log_factorials(j_lo - 1, width) - math.lgamma(k) - _log_factorials(j_lo - k, width) - j * _LOG_2
+    # row N: log w(N - j) for j = j_hi, ..., j_lo, beside log nb(j) in the same order
+    offset = n_lo - j_lo - 2 * m
+    windows = sliding_window_view(log_w, width)[offset : offset + rows]
+    log_nb = log_nb[::-1]
+    log_pi = np.arange(n_lo, n_hi + 1) * math.log(lam) - _log_factorials(n_lo, rows) - lam
+    step = max(1, _TABLE_BLOCK // width)
+    tops, sums = np.empty((2, -(-rows // step)))
+    for b, r in enumerate(range(0, rows, step)):
+        table = windows[r : r + step] + log_nb + log_pi[r : r + step, None]
+        tops[b] = table.max()
+        sums[b] = np.exp(table - tops[b]).sum()
+    top = tops.max()
+    # each log carries rounding of order 1e-16 of log N!: 3.9e-14 at (5, 3, 50), where
+    # P = 1 - 1e-16 came out above 1 unclamped
+    return min(top + math.log(np.dot(np.exp(tops - top), sums)), 0.0)
 
 
 def overlap_probability_exact(spec: OverlapSpec) -> float:

@@ -24,7 +24,7 @@ ACCEPTANCE = {
     "partial_products": (5, (range(1, 65),), 60),
     "coarse_graining": (6, (range(1, 65),), 10),
     "scalar_claims": (7, (1e-4,), 20),
-    "overlap_kernels": (8, (100000, 1, (16, 64, 128, 200)), 20),
+    "overlap_kernels": (8, (100000, 1), 20),
     "overlap_mc": (8, ([(l, k, x, 1000 + cell) for cell, (l, k, x) in enumerate(_OVERLAP_GRID)], 10**6), 280),
     "simulator_oracle": (9, (4, 25), 30),
     "convergence_trends": (10, (10, 16, 50, 42), 600),

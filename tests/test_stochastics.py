@@ -1,5 +1,5 @@
-import functools
 import math
+from collections.abc import Iterator
 import mpmath
 import numpy as np
 import pytest
@@ -159,7 +159,7 @@ class TestOverlapProbabilityExact:
         # the l = 2, k = 1 closed form goes through the series, so a relative bias of 1e-8 must fail it
         unbiased = stochastics.log_overlap_probability
         monkeypatch.setattr(stochastics, "log_overlap_probability", lambda spec: unbiased(spec) + math.log1p(1e-8))
-        passed, detail = checks.overlap_kernels(100, 7, (16, 64, 128, 200))
+        passed, detail = checks.overlap_kernels(100, 7)
         assert not passed
         assert detail == "l=2, k=1 closed form mismatch at x=1.0"
 
@@ -184,26 +184,33 @@ class TestOverlapProbabilityExact:
         assert abs(est.estimate - exact) <= 3.0 * est.stderr
 
 
-@functools.cache
-def _pair_count(m: int, s: int) -> int:
-    """W_s = sum_{a=m}^{s-m} C(s, a), as an exact integer."""
-    return sum(math.comb(s, a) for a in range(m, s - m + 1))
+def _integer_coefficients(l: int, k: int) -> Iterator[int]:
+    """D_N = sum_s W_s C(N-s-1, k-1) for N = 2m+k, 2m+k+1, ..., as exact integers; m = l - k.
 
-
-def _series_coefficient(l: int, k: int, n: int) -> int:
-    """D_N = sum_s W_s C(N-s-1, k-1), as an exact integer."""
-    return sum(_pair_count(l - k, s) * math.comb(n - s - 1, k - 1) for s in range(2 * (l - k), n - k + 1))
+    W_s comes from W_{s+1} = 2 W_s + 2 C(s, m-1) from W_{2m-1} = 0, and D from
+    k running sums of W.
+    """
+    m = l - k
+    pairs, binomial, s = 0, math.comb(2 * m - 1, m - 1), 2 * m - 1
+    sums = [0] * k
+    while True:
+        pairs, binomial, s = 2 * pairs + 2 * binomial, binomial * (s + 1) // (s + 2 - m), s + 1
+        for i in range(k):
+            sums[i] += pairs if i == 0 else sums[i - 1]
+        yield sums[-1]
 
 
 def _rational_series(l: int, k: int, x: float) -> mpmath.mpf:
-    """log P from the positive series with exact integer D_N, summed at 50 digits; 0 < k < l."""
+    """log P from the positive series with exact integer D_N, summed at the working precision; 0 < k < l."""
     x = mpmath.mpf(x)
     total, n = mpmath.mpf(0), 2 * (l - k) + k
-    while True:
-        term = _series_coefficient(l, k, n) * mpmath.power(x, n) / mpmath.factorial(n)
+    power = mpmath.power(x, n) / mpmath.factorial(n)
+    for coefficient in _integer_coefficients(l, k):
+        term = coefficient * power
         total += term
         if n > 2 * x and term < total * mpmath.mpf(10) ** -45:
             return mpmath.log(total) - 2 * x
+        power *= x / (n + 1)
         n += 1
 
 
@@ -221,6 +228,16 @@ def _quadrature(l: int, k: int, x: float) -> float:
 
 
 class TestLogOverlapProbability:
+    def test_integer_coefficients_match_their_definition(self):
+        # D_N = sum_s W_s C(N-s-1, k-1) with W_s = sum_{a=m}^{s-m} C(s, a), summed as written
+        for l in range(2, 9):
+            for k in range(1, l):
+                m = l - k
+                for n, coefficient in zip(range(2 * m + k, 2 * m + k + 30), _integer_coefficients(l, k)):
+                    pairs = [sum(math.comb(s, a) for a in range(m, s - m + 1)) for s in range(n - k + 1)]
+                    terms = (pairs[s] * math.comb(n - s - 1, k - 1) for s in range(2 * m, n - k + 1))
+                    assert coefficient == sum(terms), (l, k, n)
+
     def test_matches_the_rational_series(self):
         # exact integer coefficients at 50 digits; below the float range P exists
         # only as its log, whose last place is itself about 4e-12 of P at x = 5e-324
@@ -248,6 +265,24 @@ class TestLogOverlapProbability:
                     if ref > 1e-290:
                         got = stochastics.overlap_probability_exact(OverlapSpec(l, k, x))
                         assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (l, k, x)
+
+    @pytest.mark.parametrize(
+        "l,k,x", [(500, 499, 520.0), (1000, 999, 1050.0), (1000, 500, 900.0), (1000, 1, 1000.0)]
+    )
+    def test_large_overlaps_match_the_rational_series(self, l, k, x):
+        # the error stays of order 1e-16 log N! whatever k: at most 1.3e-12 here
+        with mpmath.workdps(40):
+            ref = _rational_series(l, k, x)
+            got = stochastics.log_overlap_probability(OverlapSpec(l, k, x))
+            assert abs(mpmath.expm1(got - ref)) <= 4e-12
+
+    @pytest.mark.parametrize("x", [900.0, 1000.0, 1050.0])
+    def test_large_overlaps_match_quadrature(self, x):
+        for k in (1, 500, 999):
+            ref = _quadrature(1000, k, x)
+            assert ref > 1e-290
+            got = stochastics.overlap_probability_exact(OverlapSpec(1000, k, x))
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0), k
 
     @pytest.mark.parametrize("l,k", [(2, 1), (3, 1), (12, 6), (300, 1), (1000, 999)])
     def test_largest_threshold_is_exactly_one(self, l, k):
