@@ -115,10 +115,6 @@ def scalar_claims(grid_step: float) -> tuple[bool, str]:
     return True, "all five items pass"
 
 
-# path scale: n for the cells l = ceil(L n) of overlap_kernels
-_PATH_NS = (16, 64, 128, 200)
-
-
 def overlap_kernels(g_steps: int, l_step: int) -> tuple[bool, str]:
     """g <= 1 on a grid of [0, 1], the Erlang tail-ratio bound, the l = 2, k = 1 closed form,
     and, at path scale l = ceil(L n), k = l/4, l/2, 3l/4 and x = E for each n in _PATH_NS,
@@ -267,6 +263,7 @@ class Check(NamedTuple):
 
 
 _ALL_K = tuple(range(1, 65))
+_PATH_NS = (16, 64, 128, 200)
 _SHIFT_ARGS = (((4, 2, 1.0, 0.5), (3, 3, 1.0, 1.0), (6, 1, 0.5, 0.1)),)
 CHECKS = (
     Check("constants", constants, (), ()),
