@@ -70,8 +70,7 @@ class CoarseGraining:
             if not self.ef[i] - 2.0 * self.eb[i] > 0.0:
                 raise ArithmeticError("ef - 2 eb not positive")
         for i in range(1, K + 1):
-            lhs = math.sinh(self.abar[i] * E) * math.cosh(self.aunder[i] * E)
-            if abs(lhs - i / K) > 1e-10:
+            if abs(depth_of_alpha(self.abar[i]) - i / K) > 1e-10:
                 raise ArithmeticError(f"depth relation violated at slab {i}")
 
 
@@ -86,7 +85,7 @@ def solve_coarse_graining(K: int) -> CoarseGraining:
         raise UsageError(f"number of scales must be >= 1, got {K}")
     abar = tuple(0.5 * (1.0 + math.asinh(2.0 * i / K - 1.0) / E) for i in range(K + 1))
     a = tuple(abar[i + 1] - abar[i] for i in range(K))
-    d = tuple(math.sinh(ai * E) * math.cosh((1.0 - ai) * E) for ai in a)
+    d = tuple(map(depth_of_alpha, a))
     half_k = 1.0 / (2 * K)
     ef = tuple(di / 2.0 + half_k for di in d)
     eb = tuple(di / 2.0 - half_k for di in d)

@@ -9,15 +9,17 @@ l = 0, 1, 2, ... with the powers built incrementally.  A brute-force dynamic
 program cross-checks both.  The generating function drives everything else:
 truncation residuals, upper bounds on single counts, the normalized
 length-weight distribution at x = E (which has total mass sinh(E)^n = 1),
-and the exact tail sums behind the length concentration statement.
+and the exact tail sums behind the length concentration statement; the
+first, third and fourth share one series of correctly rounded terms.
 """
 
+import decimal
 import functools
 import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from . import UsageError
@@ -80,6 +82,19 @@ def walk_counts(n: int, d: int) -> Iterator[int]:
         powers = [p * b for p, b in zip(powers, bases)]
 
 
+def _weighted_counts(n: int, d: int, x: float) -> Iterator[float]:
+    """Yield M(n, l, d) x^l / l! for l = 0, 1, 2, ... without end.
+
+    Each term is the correctly rounded value of the exact rational
+    M(n,l,d) p^l / (q^l l!), with x = p/q exactly, at any l.
+    """
+    p, q = x.as_integer_ratio()
+    num, den = 1, 1  # p^l and q^l l!
+    for next_l, m in enumerate(walk_counts(n, d), start=1):
+        yield m * num / den
+        num, den = num * p, den * q * next_l
+
+
 def brute_force_walk_count(n: int, l: int, d: int) -> int:
     """Independent oracle: counts the same walks by DP over vertex occupancy.
 
@@ -133,25 +148,21 @@ def identity_residual(n: int, d: int, x: float, l_max: int) -> IdentityResidual:
     remainder bound, and whether the residual is within that bound plus float
     rounding of 1e-13 relative to the target.
 
-    The truncated sum is evaluated with exact counts and fsum (all terms are
-    nonnegative, so there is no cancellation); the residual is the analytic
-    truncation remainder plus float rounding of order 1e-13 relative.
+    The sum is the fsum of correctly rounded terms.  The target is rounded
+    once from decimal arithmetic on e^x, with 40 digits to spare beyond those
+    e^x - e^-x cancels: in floats, cosh(x) ** (n - d) multiplies the rounding
+    of cosh(x) by n - d (2.2e-13 relative at n = 5000, x = 1e-6).
     """
-    if not 0 < x < math.inf:
-        raise UsageError(f"x must be positive and finite, got {x}")
-    _require_distance(n, d)
     bound = identity_remainder_bound(n, x, l_max)
+    _require_distance(n, d)
     if bound > 1e-12:
         raise UsageError(f"l_max={l_max} leaves a truncation remainder above 1e-12")
-    terms = []
-    for l, m in zip(range(l_max + 1), walk_counts(n, d)):
-        if m:
-            try:
-                terms.append(float(m) * x**l / factorial(l))
-            except OverflowError:
-                terms.append(math.exp(_log_weight(m, x, l)))
-    target = math.sinh(x) ** d * math.cosh(x) ** (n - d)
-    residual = abs(math.fsum(terms) - target)
+    series = math.fsum(itertools.islice(_weighted_counts(n, d, x), l_max + 1))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + max(0, -decimal.Decimal(x).adjusted())
+        ex = decimal.Decimal(x).exp()
+        target = float((ex - 1 / ex) ** d * (ex + 1 / ex) ** (n - d) / 2**n)
+    residual = abs(series - target)
     return IdentityResidual(residual, bound, residual <= bound + 1e-13 * target)
 
 
@@ -232,32 +243,18 @@ class LengthWeightDistribution:
 def length_weight_distribution(n: int, l_max: int) -> LengthWeightDistribution:
     """Exact length-weight distribution, truncated at l_max >= 3n.
 
-    Each weight is the correctly rounded float of the exact rational
-    M(n,l,n) * p^l / (q^l * l!) where E = p/q exactly as a dyadic, so the
-    reported mass carries no accumulated rounding beyond one ulp per term.
+    Each weight is a correctly rounded series term at the dyadic E, so the
+    mass carries no accumulated rounding beyond half an ulp per term.
     """
     _require_distance(n, n)
     if l_max < 3 * n:
         raise UsageError(f"l_max must be at least 3n = {3 * n}, got {l_max}")
-    p, q = E.as_integer_ratio()
-    weights = []
-    num_pow = 1  # p^l
-    den = 1  # q^l * l!
-    for l, m in zip(range(l_max + 1), walk_counts(n, n)):
-        if l:
-            num_pow *= p
-            den *= q * l
-        weights.append((m * num_pow) / den)
     return LengthWeightDistribution(
         n=n,
         l_max=l_max,
-        weights=tuple(weights),
+        weights=tuple(itertools.islice(_weighted_counts(n, n, E), l_max + 1)),
         tail_bound=_weight_tail_bound(n, E, l_max),
     )
-
-
-def _log_weight(m: int, x: float, l: int) -> float:
-    return math.log(m) + l * math.log(x) - math.lgamma(l + 1)
 
 
 def concentration_tail_mass(n: int, eps: float, a: float) -> tuple[float, float]:
@@ -283,12 +280,10 @@ def concentration_tail_mass(n: int, eps: float, a: float) -> tuple[float, float]
     lower_terms = []
     upper_terms = []
     accumulated = 0.0
-    for l, m in enumerate(walk_counts(n, n)):
+    for l, term in enumerate(_weighted_counts(n, n, x)):
         if l <= lower_cut:
-            if m:
-                lower_terms.append(math.exp(_log_weight(m, x, l)))
+            lower_terms.append(term)
         elif l >= upper_cut:
-            term = math.exp(_log_weight(m, x, l)) if m else 0.0
             upper_terms.append(term)
             accumulated += term
             # geometric decay is guaranteed once l exceeds the summand peak n*x

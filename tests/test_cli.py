@@ -99,14 +99,19 @@ class TestIdentity:
         assert payload["residual"] < 1e-10
 
     def test_tolerance_scales_with_target(self, capsys):
-        # the target is 2^16 here; a residual of a few 1e-10 is float rounding
-        code, out, _ = run_cli(
-            capsys, "identity", "--n", "64", "--d", "32", "--x", "0.881373587019543", "--lmax", "220"
-        )
+        # the target sinh(1.5)^64 is about 1e21; a residual of one ulp there,
+        # 131072, is float rounding of the series terms
+        code, out, _ = run_cli(capsys, "identity", "--n", "64", "--d", "64", "--x", "1.5", "--lmax", "320")
         assert code == 0
         payload = json.loads(out)
         assert payload["residual"] > 1e-10
         assert payload["within_tolerance"] is True
+
+    def test_large_n_small_x(self, capsys):
+        # in floats cosh(1e-6) ** 2500 is 1.1e-13 off the target 1.0000000012500000008
+        code, out, _ = run_cli(capsys, "identity", "--n", "2500", "--d", "0", "--x", "1e-6", "--lmax", "5")
+        assert code == 0
+        assert json.loads(out)["within_tolerance"] is True
 
 
 class TestGeometry:

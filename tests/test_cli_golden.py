@@ -17,7 +17,7 @@ GOLDEN = Path(__file__).with_name("golden")
 _FORMATTED = {
     "count": ["count", "--n", "10", "--l", "14", "--d", "4"],
     "identity": ["identity", "--n", "3", "--d", "3", "--x", "0.8813735870195430", "--lmax", "60"],
-    # l >= 171 overflows float(m) * x**l / l! and takes the log-space fallback
+    # l runs past 170, where float(M) * x**l / l! would overflow
     "identity_n64": ["identity", "--n", "64", "--d", "32", "--x", "0.881373587019543", "--lmax", "220"],
     "geometry": ["geometry", "--K", "8"],
     "geometry_m2": ["geometry", "--K", "8", "--m", "2"],

@@ -1,8 +1,10 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +124,19 @@ class TestWalkCounts:
                 assert counts[l] == pathcount.stanley_count(n, l, d), (n, l, d)
 
 
+class TestWeightedCounts:
+    @given(n=st.integers(min_value=1, max_value=12), x=st.floats(min_value=1e-3, max_value=50.0))
+    @settings(max_examples=25, deadline=None)
+    def test_terms_are_the_correctly_rounded_rationals(self, n, x):
+        # l runs past 170, where float(M) * x**l / l! overflows
+        scales = list(itertools.accumulate(range(1, 251), lambda s, l: s * Fraction(x) / l, initial=Fraction(1)))
+        for d in range(n + 1):
+            terms = zip(pathcount._weighted_counts(n, d, x), pathcount.walk_counts(n, d), scales)
+            for l, (term, count, scale) in enumerate(terms):
+                # int / int is correctly rounded
+                assert term == count * scale.numerator / scale.denominator, (n, d, x, l)
+
+
 class TestIdentityResidual:
     def test_single_edge_at_one(self):
         assert pathcount.identity_residual(1, 1, 1.0, 30).residual < 1e-12
@@ -132,6 +147,18 @@ class TestIdentityResidual:
     def test_antipodal_cube_at_energy_constant(self):
         # target value sinh(E)^3 = 1
         assert pathcount.identity_residual(3, 3, E, 60).residual < 1e-10
+
+    def test_residual_is_rounding_alone(self):
+        # the residual against the 50-digit target is far below an ulp on
+        # every cell here, so what is reported is the rounding of series and
+        # target, which stays within an ulp of the target
+        cells = [(n, d, x, 80) for n in range(1, 11) for d in {0, n // 2, n} for x in (0.5, E, 1.5)]
+        cells += [(64, 32, E, 220), (200, 100, 1e-3, 160), (2000, 0, 1e-6, 5), (2500, 0, 1e-6, 5)]
+        with mpmath.workdps(50):
+            for n, d, x, l_max in cells:
+                target = float(mpmath.sinh(x) ** d * mpmath.cosh(x) ** (n - d))
+                result = pathcount.identity_residual(n, d, x, l_max)
+                assert result.residual <= math.ulp(target), (n, d, x)
 
     def test_rejects_insufficient_truncation(self):
         with pytest.raises(ValueError):
