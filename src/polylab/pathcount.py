@@ -19,7 +19,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import comb
 from typing import NamedTuple
 
 from . import UsageError
@@ -39,11 +38,16 @@ def _require_distance(n: int, d: int) -> None:
 
 @functools.lru_cache(maxsize=128)
 def _eigen_weights(n: int, d: int) -> tuple[int, ...]:
-    """Krawtchouk weights K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) for i = 0..n, cached per (n, d)."""
-    return tuple(
-        sum((-1) ** j * comb(d, j) * comb(n - d, i - j) for j in range(min(d, i) + 1))
-        for i in range(n + 1)
-    )
+    """Krawtchouk weights K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) for i = 0..n, cached per (n, d).
+
+    Built by the three-term recurrence (i+1) K_{i+1} = (n-2d) K_i - (n-i+1) K_{i-1}
+    from K_0 = 1 and K_1 = n - 2d, whose divisions are exact: O(n) big-integer
+    operations where the binomial sums cost O(n d) products.
+    """
+    weights = [1, n - 2 * d]
+    for i in range(1, n):
+        weights.append(((n - 2 * d) * weights[i] - (n - i + 1) * weights[i - 1]) // (i + 1))
+    return tuple(weights)
 
 
 def _divide_exact(total: int, n: int, l: int, d: int) -> int:

@@ -5,7 +5,8 @@ a pair of stream keys, so simulations are reproducible bit-for-bit across
 runs, platforms and degrees of parallelism.  The scalar and the vectorized
 routines implement the same function: mix64 and uniform01 agree bit for
 bit, and an exponential differs in the last place where numpy's log rounds
-differently from math.log.
+differently from math.log.  The vectorized routines take their second key
+as one int or as an array of the first keys' shape.
 """
 
 import math
@@ -54,27 +55,37 @@ def exponential(seed: int, a: int, b: int) -> float:
 
 
 def mix64_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a 1-D uint64 array of first keys.
+    """Vectorized mix64 over a 1-D array of first keys, as a new uint64 array.
 
-    The second key, one int or a uint64 array of a's shape, is taken as an
-    array that broadcasts against a (an int becomes one element), so its
-    uint64 arithmetic wraps modulo 2^64 like the scalar masks.
+    The second key must be one int or a uint64 array of a's shape: the
+    rounds run in place on the one copy of a that `astype` makes, which
+    cannot grow to a broadcast shape.  It is taken as an array (an int
+    becomes one element), so its uint64 arithmetic wraps modulo 2^64 like
+    the scalar masks.
     """
     b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
-    z = np.uint64(seed) ^ (a.astype(np.uint64) * np.uint64(_KEY_A))
-    z = z ^ ((b + np.uint64(1)) * np.uint64(_KEY_B))
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX_1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX_2)
-    z = z ^ (z >> np.uint64(31))
+    z = a.astype(np.uint64)
+    z *= np.uint64(_KEY_A)
+    z ^= np.uint64(seed)
+    z ^= (b + np.uint64(1)) * np.uint64(_KEY_B)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX_1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX_2)
+    z ^= z >> np.uint64(31)
     return z
 
 
 def uniform01_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
-    u = (mix64_array(seed, a, b).astype(np.float64) + 0.5) * 2.0**-64
+    """Vectorized uniform01, with mix64_array's contract on a and b."""
+    u = mix64_array(seed, a, b).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-64
     return np.minimum(u, _U_MAX, out=u)
 
 
 def exponential_array(seed: int, a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
-    return -np.log(uniform01_array(seed, a, b))
+    """Vectorized exponential, with mix64_array's contract on a and b."""
+    u = uniform01_array(seed, a, b)
+    np.log(u, out=u)
+    return np.negative(u, out=u)

@@ -31,8 +31,6 @@ from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import UsageError, prng
 
@@ -218,6 +216,12 @@ def _csr_search(instance: HypercubeInstance) -> PolymerPath:
     target.  Otherwise the radius becomes upper / 2, or grows by
     _CSR_GROWTH while no walk was found, and the search runs again.
     """
+    # scipy is imported here, not at module level: only this engine uses it,
+    # and its sparse-graph modules double the start-up time and peak memory
+    # of every command that never searches n <= CSR_MAX_DIMENSION.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     n = instance.n
     size = instance.num_vertices
     table = weight_table(instance)
@@ -225,7 +229,7 @@ def _csr_search(instance: HypercubeInstance) -> PolymerPath:
     graph = csr_matrix((table.ravel(), cols.ravel(), indptr), shape=(size, size))
     radius = _CSR_START_RADIUS
     while True:
-        dist, pred = _csgraph_dijkstra(graph, indices=[0, instance.target], limit=radius, return_predecessors=True)
+        dist, pred = dijkstra(graph, indices=[0, instance.target], limit=radius, return_predecessors=True)
         rows = np.flatnonzero(np.isfinite(dist[0]))  # labelled from 0, increasing
         walks = dist[1][cols[rows]]
         walks += table[rows]

@@ -109,9 +109,10 @@ class TestIdentity:
 
     def test_large_n_small_x(self, capsys):
         # in floats cosh(1e-6) ** 2500 is 1.1e-13 off the target 1.0000000012500000008
-        code, out, _ = run_cli(capsys, "identity", "--n", "2500", "--d", "0", "--x", "1e-6", "--lmax", "5")
-        assert code == 0
-        assert json.loads(out)["within_tolerance"] is True
+        for n in ("2500", "5000"):
+            code, out, _ = run_cli(capsys, "identity", "--n", n, "--d", "0", "--x", "1e-6", "--lmax", "5")
+            assert code == 0
+            assert json.loads(out)["within_tolerance"] is True, n
 
 
 class TestGeometry:
@@ -198,13 +199,14 @@ class TestOverlap:
         assert all(math.isfinite(payload[key]) for key in ("log_exact", "log_leading", "exact_over_leading"))
 
     def test_large_cell_peak_memory(self):
-        # a fresh process peaked at 62 MiB, numpy and scipy imports included, on a
-        # 2-vCPU x86 host, as it does for l = 8; the series keeps about 1,600
-        # terms here, so a terms x terms table (about 19 MiB) would exceed the bound
+        # a fresh process peaked at 32 MiB, numpy import included, on a 2-vCPU
+        # x86 host (30 MiB for l = 8); the series keeps about 1,600 terms here,
+        # so a terms x terms table (about 19 MiB) would exceed the bound, and so
+        # would importing scipy's sparse-graph modules (64 MiB in all)
         code, out, peak_mib = run_fresh_process("overlap", "--l", "2000", "--k", "1000", "--x", "2000")
         assert code == 0
         assert 0.0 < json.loads(out)["exact"] < 1.0
-        assert peak_mib < 62 + 15
+        assert peak_mib < 32 + 15
 
     def test_with_mc(self, capsys):
         code, out, _ = run_cli(
@@ -215,14 +217,15 @@ class TestOverlap:
         assert abs(payload["mc_estimate"] - payload["exact"]) <= 5 * payload["mc_stderr"] + 1e-3
 
     def test_ten_million_trials_peak_memory(self):
-        # a fresh process peaked at 63 MiB, numpy and scipy imports included,
-        # on a 2-vCPU x86 host (62 MiB with no trials); the bound is 1.5x
-        # that.  Drawing every trial at once had peaked at 539 MiB.
+        # a fresh process peaked at 31 MiB, numpy import included, on a 2-vCPU
+        # x86 host (31 MiB with no trials); the bound is 1.5x that, below the
+        # 63 MiB of a process that imports scipy's sparse-graph modules.
+        # Drawing every trial at once had peaked at 539 MiB.
         argv = ("overlap", "--l", "4", "--k", "2", "--x", "1.0", "--mc-trials", "10000000", "--seed", "3")
         code, out, peak_mib = run_fresh_process(*argv)
         assert code == 0
         assert json.loads(out)["mc_estimate"] == 0.0024838
-        assert peak_mib < 1.5 * 63
+        assert peak_mib < 1.5 * 31
 
 
 class TestSimulate:
@@ -279,11 +282,19 @@ class TestSimulate:
         assert json.loads(out)["trials"][0]["m_n"] > 0.0
 
     def test_n24_peak_memory(self):
-        # a fresh process peaked at 111 MiB, numpy and scipy imports included,
-        # on a 2-vCPU x86 host; the bound is 1.5x that
+        # a fresh process peaked at 79 MiB, numpy import included, on a 2-vCPU
+        # x86 host; the bound is 1.5x that
         code, _, peak_mib = run_fresh_process("simulate", "--n", "24", "--trials", "1", "--seed", "0")
         assert code == 0
-        assert peak_mib < 1.5 * 111
+        assert peak_mib < 1.5 * 79
+
+    def test_first_scipy_import_races_on_two_threads(self, capsys):
+        # n = 12 runs the CSR engine, which imports scipy on its first call, so
+        # in a new interpreter both worker threads race for that import
+        argv = ("simulate", "--n", "12", "--trials", "8", "--seed", "5")
+        code, out, _ = run_fresh_process(*argv, "--parallelism", "2")
+        assert code == 0
+        assert out == run_cli(capsys, *argv)[1]
 
 
 @pytest.mark.parametrize(
@@ -349,12 +360,32 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--fast") == (1, "crash  FAIL  error: boom\noverall: FAIL\n", "")
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # only scipy.sparse.csgraph is needed; scipy.integrate alone pulled in about
-    # 200 more modules, a third of every command's start-up
+def scipy_modules_loaded(*argv):
+    """The scipy modules a new interpreter holds after `from polylab import cli` and, given argv, `main(argv)`."""
     proc = run_python(
         "import sys; from polylab import cli; "
-        "print(*sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules))"
+        "status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr); "
+        "sys.exit(status)",
+        *argv,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    return proc.stderr.splitlines()[-1].split()
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # only the CSR engine (n <= CSR_MAX_DIMENSION) uses scipy, whose
+    # sparse-graph modules doubled every other command's start-up time and
+    # peak memory
+    assert scipy_modules_loaded() == []
+    for argv in (
+        ("overlap", "--l", "3", "--k", "1", "--x", "1.0", "--mc-trials", "10000"),
+        ("count", "--n", "10", "--l", "60", "--d", "10"),
+        ("identity", "--n", "3", "--d", "3", "--x", "0.88", "--lmax", "60"),
+        ("geometry", "--K", "8"),
+        ("analyze",),
+        ("simulate", "--n", "20", "--trials", "1", "--seed", "0"),
+    ):
+        assert scipy_modules_loaded(*argv) == [], argv
+    # the guard is not vacuous: a search at n <= 14 does load it
+    assert "scipy.sparse.csgraph" in scipy_modules_loaded("simulate", "--n", "12", "--trials", "1", "--seed", "0")

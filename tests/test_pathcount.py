@@ -85,6 +85,18 @@ class TestStanleyCount:
             assert count == math.factorial(d)  # only the directed orderings fit
 
 
+class TestEigenWeights:
+    def test_recurrence_equals_binomial_sums(self):
+        # the defining alternating sum of binomials is the oracle
+        for n in range(1, 41):
+            for d in range(n + 1):
+                expected = tuple(
+                    sum((-1) ** j * math.comb(d, j) * math.comb(n - d, i - j) for j in range(min(d, i) + 1))
+                    for i in range(n + 1)
+                )
+                assert pathcount._eigen_weights(n, d) == expected, (n, d)
+
+
 class TestBruteForceWalkCount:
     @pytest.mark.parametrize(
         "n,l,d,expected",

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import given, settings, strategies as st
 
 import polylab
@@ -104,6 +105,7 @@ class TestEdgeWeight:
         assert drawn.tolist() == (-np.log(uniform)).tolist()  # the scalar uniforms through numpy's log
         scalar = np.array([prng.exponential(seed, k, j) for k, j in pairs])
         assert np.all(np.abs(drawn - scalar) <= np.spacing(scalar))  # math.log differs in the last place
+        assert a.tolist() == keys  # the kernels work on a copy of the keys
 
     def test_positive_where_the_uniform_rounds_to_one(self):
         # mix64(seed, 0, 0) = 2^64 - 1, so (mix64 + 0.5) * 2^-64 rounds to 1.0
@@ -220,14 +222,14 @@ class TestGroundState:
             for seed in (0, 1, 2, 2**64 - 1)
         }
         limits = []
-        dijkstra = simulator._csgraph_dijkstra
+        dijkstra = scipy.sparse.csgraph.dijkstra  # _csr_search imports it on each call
 
         def recording(*args, limit, **kwargs):
             limits.append(limit)
             return dijkstra(*args, limit=limit, **kwargs)
 
         monkeypatch.setattr(simulator, "_CSR_START_RADIUS", start)
-        monkeypatch.setattr(simulator, "_csgraph_dijkstra", recording)
+        monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", recording)
         for (n, seed), path in expected.items():
             got = simulator._csr_search(HypercubeInstance(n=n, seed=seed))
             assert (got.vertices, got.energy) == (path.vertices, path.energy), (n, seed)
