@@ -1,10 +1,10 @@
-"""Every claim of the paper that the lab verifies, each defined once with its sizes as arguments.
+"""Every claim of the paper that the lab verifies, each defined once.
 
 Every check returns (passed, detail) and stops at the first violation,
 naming it in the detail.  `CHECKS` lists them in the order `polylab verify`
 runs them, with the arguments of `verify --fast` and of the full battery;
 `tests/test_acceptance.py` runs every check in `CHECKS`, one row each, at its
-own pinned sizes, seeds and runtime budgets.
+own pinned sizes, seeds and runtime budgets.  Sizes all three share are constants.
 """
 
 import itertools
@@ -184,14 +184,14 @@ def directed_overlap(n_max: int) -> tuple[bool, str]:
     return True, f"envelopes hold up to n={n_max}"
 
 
-def convergence_trends(n_small: int, n_large: int, trials: int, base_seed: int) -> tuple[bool, str]:
-    """From n_small to n_large on the same seeds, m_n falls and length/n nears L.
+def convergence_trends(n_small: int, n_large: int) -> tuple[bool, str]:
+    """From n_small to n_large on the same _TREND_TRIALS seeds, m_n falls and length/n nears L.
 
     At n_large the first half carries 40-60% of m_n and, at one standard error, the depth
     profile never falls from bin to bin and the middle decile has the first's backsteps.
     """
-    _, small = simulator.run_trials(n_small, trials, base_seed=base_seed)
-    _, large = simulator.run_trials(n_large, trials, base_seed=base_seed)
+    _, small = simulator.run_trials(n_small, _TREND_TRIALS, base_seed=_TREND_SEED)
+    _, large = simulator.run_trials(n_large, _TREND_TRIALS, base_seed=_TREND_SEED)
     means, ses = large.profile_bin_mean, large.profile_bin_se
     falls = [i for i in range(len(means) - 1) if means[i + 1] + ses[i + 1] < means[i] - ses[i]]  # False on nan
     backsteps, backstep_ses = large.backstep_decile_mean, large.backstep_decile_se
@@ -209,15 +209,16 @@ def convergence_trends(n_small: int, n_large: int, trials: int, base_seed: int) 
     return True, f"mean m_n {small.mean_m_n:.4f} -> {large.mean_m_n:.4f} from n={n_small} to n={n_large}"
 
 
-def length_concentration(ns: Sequence[int], eps: float, a: float) -> tuple[bool, str]:
-    """The length weight at x = E peaks within 2 of L n; outside |l/n - L| < a eps it has
-    no lower tail (none exists when L - a eps < 1) and an upper tail that shrinks with n."""
+def length_concentration() -> tuple[bool, str]:
+    """At each n of _CONCENTRATION_NS the length weight at x = E peaks within 2 of L n; outside
+    |l/n - L| < a eps (_CONCENTRATION_A and _EPS) it has no lower tail (none exists when
+    L - a eps < 1) and an upper tail that shrinks with n."""
     tails = []
-    for n in ns:
+    for n in _CONCENTRATION_NS:
         peak = pathcount.length_weight_distribution(n, 3 * n).argmax_length
         if abs(peak - round(L * n)) > 2:
             return False, f"length weight peaks at l={peak} for n={n}, L n = {L * n:.2f}"
-        lower, upper = pathcount.concentration_tail_mass(n, eps, a)
+        lower, upper = pathcount.concentration_tail_mass(n, _CONCENTRATION_EPS, _CONCENTRATION_A)
         if lower != 0.0:
             return False, f"lower tail {lower:.3e} at n={n}"
         tails.append((n, upper))
@@ -228,31 +229,31 @@ def length_concentration(ns: Sequence[int], eps: float, a: float) -> tuple[bool,
     return True, f"peaks within 2 of L n, upper tail {tails[0][1]:.3e} -> {tails[-1][1]:.3e}"
 
 
-def shift_inequality(cells: Sequence[tuple[int, int, float, float]]) -> tuple[bool, str]:
-    """P(both <= a+b) <= C P(both <= a) (1 + b/a)^{2l-k} on each (l, k, a, b) cell.
+def shift_inequality() -> tuple[bool, str]:
+    """P(both <= a+b) <= C P(both <= a) (1 + b/a)^{2l-k} on each (l, k, a, b) cell of _SHIFT_CELLS.
 
     C = 10 is a generous stand-in for the paper's unspecified order-one constant.
     """
     worst = 0.0
-    for l, k, a, b in cells:
+    for l, k, a, b in _SHIFT_CELLS:
         ratio = stochastics.shift_ratio(l, k, a, b)
         if not ratio <= 10.0:
             return False, f"ratio {ratio:.4f} above 10 at (l={l}, k={k}, a={a}, b={b})"
         worst = max(worst, ratio)
-    return True, f"max ratio {worst:.4f} <= 10 on {len(cells)} cells"
+    return True, f"max ratio {worst:.4f} <= 10 on {len(_SHIFT_CELLS)} cells"
 
 
-def substrand_identities(ks: Sequence[int]) -> tuple[bool, str]:
-    """The four closed forms of every interior slab's step fractions agree within 1e-10."""
+def substrand_identities() -> tuple[bool, str]:
+    """The four closed forms of every interior slab's step fractions agree within 1e-10, K in _SUBSTRAND_KS."""
     worst = 0.0
-    for k in ks:
+    for k in _SUBSTRAND_KS:
         cg = geometry.solve_coarse_graining(k)
         for j in range(2, k):
             for name, (lhs, rhs) in geometry.substrand_identities(cg, j).items():
                 if not abs(lhs - rhs) <= 1e-10:
                     return False, f"{name} off by {abs(lhs - rhs):.2e} at K={k}, slab {j}"
                 worst = max(worst, abs(lhs - rhs))
-    return True, f"max deviation {worst:.2e} for K in {tuple(ks)}"
+    return True, f"max deviation {worst:.2e} for K in {_SUBSTRAND_KS}"
 
 
 class Check(NamedTuple):
@@ -264,7 +265,10 @@ class Check(NamedTuple):
 
 _ALL_K = tuple(range(1, 65))
 _PATH_NS = (16, 64, 128, 200)
-_SHIFT_ARGS = (((4, 2, 1.0, 0.5), (3, 3, 1.0, 1.0), (6, 1, 0.5, 0.1)),)
+_TREND_TRIALS, _TREND_SEED = 50, 42
+_CONCENTRATION_NS, _CONCENTRATION_EPS, _CONCENTRATION_A = (40, 80), 0.2, 2.5
+_SHIFT_CELLS = ((4, 2, 1.0, 0.5), (3, 3, 1.0, 1.0), (6, 1, 0.5, 0.1))
+_SUBSTRAND_KS = (4, 8, 16)
 CHECKS = (
     Check("constants", constants, (), ()),
     Check("stanley_oracle", stanley_oracle, (3, 6), (4, 8)),
@@ -280,8 +284,8 @@ CHECKS = (
           (((3, 1, 1.0, 97), (4, 2, 1.0, 97), (6, 3, 1.5, 97), (5, 0, 1.0, 97)), 10**5)),
     Check("simulator_oracle", simulator_oracle, (3, 5), (4, 25)),
     Check("directed_overlap", directed_overlap, (6,), (7,)),
-    Check("convergence_trends", convergence_trends, (6, 10, 50, 42), (6, 10, 50, 42)),
-    Check("length_concentration", length_concentration, ((40, 80), 0.2, 2.5), ((40, 80), 0.2, 2.5)),
-    Check("shift_inequality", shift_inequality, _SHIFT_ARGS, _SHIFT_ARGS),
-    Check("substrand_identities", substrand_identities, ((4, 8, 16),), ((4, 8, 16),)),
+    Check("convergence_trends", convergence_trends, (6, 10), (6, 10)),
+    Check("length_concentration", length_concentration, (), ()),
+    Check("shift_inequality", shift_inequality, (), ()),
+    Check("substrand_identities", substrand_identities, (), ()),
 )

@@ -146,22 +146,15 @@ def _cmd_geometry(args) -> int:
     profile = None if args.m is None else geometry.build_optimal_profile(args.K, args.m)
     cg = geometry.solve_coarse_graining(args.K)
     full_product = geometry.evolution_product(cg, args.K)
-    payload = {
-        "K": args.K,
-        "E": E,
-        "a": cg.a,
-        "abar": cg.abar[1:],
-        "d": cg.d,
-        "ef": cg.ef,
-        "eb": cg.eb,
-        "full_product": full_product,
-    }
-    rows = [[i + 1, cg.a[i], cg.abar[i + 1], cg.d[i], cg.ef[i], cg.eb[i]] for i in range(args.K)]
-    rows.append(["full_product", full_product, None, None, None, None])
+    columns = {"a": cg.a, "abar": cg.abar[1:], "d": cg.d, "ef": cg.ef, "eb": cg.eb}  # one value per slab
+    payload = {"K": args.K, "E": E, **columns, "full_product": full_product}
+    rows = [[i, *slab] for i, slab in enumerate(zip(*columns.values()), 1)]
+    blank = [None] * (len(columns) - 1)
+    rows.append(["full_product", full_product, *blank])
     if profile is not None:
         payload.update(m=profile.m, d_opt=profile.d_opt, L_opt=profile.L_opt, L_minus_L_opt=L - profile.L_opt)
-        rows.append(["L_opt", profile.L_opt, None, None, None, None])
-    _write(args, payload, ["i", "a_i", "abar_i", "d_i", "ef_i", "eb_i"], rows)
+        rows.append(["L_opt", profile.L_opt, *blank])
+    _write(args, payload, ["i", *(f"{name}_i" for name in columns)], rows)
     return 0
 
 

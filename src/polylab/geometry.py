@@ -47,7 +47,6 @@ class CoarseGraining:
     K: int
     a: tuple[float, ...]
     abar: tuple[float, ...]
-    aunder: tuple[float, ...]
     d: tuple[float, ...]
     ef: tuple[float, ...]
     eb: tuple[float, ...]
@@ -89,8 +88,7 @@ def solve_coarse_graining(K: int) -> CoarseGraining:
     half_k = 1.0 / (2 * K)
     ef = tuple(di / 2.0 + half_k for di in d)
     eb = tuple(di / 2.0 - half_k for di in d)
-    aunder = tuple(1.0 - x for x in abar)
-    return CoarseGraining(K=K, a=a, abar=abar, aunder=aunder, d=d, ef=ef, eb=eb)
+    return CoarseGraining(K=K, a=a, abar=abar, d=d, ef=ef, eb=eb)
 
 
 def depth_of_alpha(alpha: float) -> float:
@@ -191,7 +189,7 @@ class OptimalProfile:
     L_opt: float
 
 
-def build_optimal_profile(K: int, m: int = 2) -> OptimalProfile:
+def build_optimal_profile(K: int, m: int) -> OptimalProfile:
     """Depth profile that pins the m outer slabs on each side to depth 1/K.
 
     L_opt = sum(d_opt) satisfies 0 <= sqrt(2)E - L_opt <= (m + 1)/K: the m/K
@@ -281,7 +279,7 @@ def substrand_identities(cg: CoarseGraining, j: int) -> dict[str, tuple[float, f
     half_k = 1.0 / (2 * K)
     sb, cb = math.sinh(cg.abar[j - 1] * E), math.cosh(cg.abar[j - 1] * E)
     sa, ca = math.sinh(cg.a[j - 1] * E), math.cosh(cg.a[j - 1] * E)
-    su, cu = math.sinh(cg.aunder[j] * E), math.cosh(cg.aunder[j] * E)
+    su, cu = math.sinh((1.0 - cg.abar[j]) * E), math.cosh((1.0 - cg.abar[j]) * E)
     return {
         "eb": (dj / 2.0 - half_k, sb * sa * su),
         "ef": (dj / 2.0 + half_k, cb * sa * cu),

@@ -2,11 +2,13 @@
 
 Every random quantity in the package is a pure function of a 64-bit seed and
 a pair of stream keys, so simulations are reproducible bit-for-bit across
-runs, platforms and degrees of parallelism.  The scalar and the vectorized
-routines implement the same function: mix64 and uniform01 agree bit for
-bit, and an exponential differs in the last place where numpy's log rounds
-differently from math.log.  The vectorized routines take their second key
-as one int or as an array of the first keys' shape.
+runs and degrees of parallelism.  Across platforms they are only as
+reproducible as the logs they call, numpy's vectorized log and the C
+library's, each chosen per CPU or platform; that has been checked on one host
+only (x86-64 with AVX-512, numpy 2.4.6).  The scalar and the vectorized
+routines implement the same function: mix64 and uniform01 agree bit for bit,
+and an exponential differs in the last place where numpy's log rounds
+differently from math.log.
 """
 
 import math

@@ -13,13 +13,13 @@ walk is read off the rows labelled from 0; above it a ball search grows
 one ball per phase in vectorized Delta-stepping rounds, draws the weights
 of the edges it relaxes, and keeps state only for the two balls.
 Every engine returns one `PolymerPath`, built once from its vertex sequence:
-the constructor checks the walk and reads each step's edge weight, and the
-energy m_n, the steps and the backsteps are read off it.  `path_statistics`
-turns a path into a `TrialRecord` of the per-path geometry (length, depth
-profile, backstep placement, energy split) that is measured against the
-closed-form predictions.  Small instances carry an exhaustive simple-path
-oracle, and a separate brute-force counter measures edge overlaps between
-directed paths.
+the constructor is the one walk over it, checking each step and recording
+its signed coordinate and edge weight.  m_n, the length and the backsteps
+are read off those, and `path_statistics` turns them into a `TrialRecord`
+of the per-path geometry (length, depth profile, backstep placement,
+energy split) that is measured against the closed-form predictions.  Small
+instances carry an exhaustive simple-path oracle, and a separate
+brute-force counter measures edge overlaps between directed paths.
 """
 
 import math
@@ -96,13 +96,13 @@ def edge_weight(instance: HypercubeInstance, vertex: int, dim: int) -> float:
 
 
 def weight_table(instance: HypercubeInstance) -> np.ndarray:
-    """All edge weights as a (2^n, n) array; entry [v, d] weighs the edge of `edge_weight(v, d)`.
+    """All edge weights as a (2^n, n) array; entry [v, d] is `edge_weight(v, d)` up to one ulp.
 
     Each edge is drawn once, keyed by its lower endpoint as `edge_weight`
-    keys it, in one `prng.exponential_array` call, and written to both
-    endpoints through a strided view: along dim d the table splits into
-    blocks of 2^d rows with bit d clear, each followed by its 2^d partners
-    with bit d set.
+    keys it, in one `prng.exponential_array` call (numpy's log where
+    `edge_weight` takes math.log), and written to both endpoints through a
+    strided view: along dim d the table splits into blocks of 2^d rows with
+    bit d clear, each followed by its 2^d partners with bit d set.
     """
     n = instance.n
     low, dims = _csr_layout(n)[2:]
@@ -115,15 +115,17 @@ def weight_table(instance: HypercubeInstance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolymerPath:
-    """A path from all-zeros to all-ones: its vertices and the weight of each step.
+    """A path from all-zeros to all-ones: its vertices, and the signed coordinate and weight of each step.
 
-    Build it with `from_vertices`, which validates the vertex sequence and
-    reads each step's edge weight once; `energy` is the left-to-right sum of
-    `weights`.  Steps, length and backsteps are read off the vertices.
-    General paths may revisit vertices; ground-state paths never do.
+    Build it with `from_vertices`, the one walk over the vertex pairs: it
+    validates them and records each step's coordinate, +(d+1) where it sets
+    bit d and -(d+1) where it clears it (a backstep), and edge weight.
+    `energy` is the left-to-right sum of `weights`.  General paths may
+    revisit vertices; ground-state paths never do.
     """
 
     vertices: tuple[int, ...]
+    steps: tuple[int, ...]
     weights: tuple[float, ...]
     energy: float
 
@@ -133,31 +135,27 @@ class PolymerPath:
         vertices = tuple(vertices)
         if vertices[0] != 0 or vertices[-1] != instance.target:
             raise ValueError(f"path runs from {vertices[0]} to {vertices[-1]}, not from 0 to {instance.target}")
+        steps = []
         weights = []
         energy = 0.0  # an explicit loop: sum() of floats is compensated from Python 3.12 on
         for a, b in zip(vertices, vertices[1:]):
             flipped = a ^ b
             if flipped <= 0 or flipped & (flipped - 1):
                 raise ValueError(f"step {a} -> {b} does not flip exactly one bit")
-            w = edge_weight(instance, a, flipped.bit_length() - 1)
+            coordinate = flipped.bit_length()
+            w = edge_weight(instance, a, coordinate - 1)
+            steps.append(coordinate if b > a else -coordinate)
             weights.append(w)
             energy += w
-        return cls(vertices=vertices, weights=tuple(weights), energy=energy)
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        """Signed coordinates: +(d+1) sets bit d (a forward step), -(d+1) clears it (a backstep)."""
-        return tuple(
-            (a ^ b).bit_length() * (1 if b > a else -1) for a, b in zip(self.vertices, self.vertices[1:])
-        )
+        return cls(vertices=vertices, steps=tuple(steps), weights=tuple(weights), energy=energy)
 
     @property
     def length(self) -> int:
-        return len(self.weights)
+        return len(self.steps)
 
     @property
     def backstep_count(self) -> int:
-        return sum(1 for a, b in zip(self.vertices, self.vertices[1:]) if b < a)
+        return sum(1 for step in self.steps if step < 0)
 
     def is_loopless(self) -> bool:
         return len(set(self.vertices)) == len(self.vertices)
@@ -498,18 +496,21 @@ def path_statistics(instance: HypercubeInstance, path: PolymerPath, trial: int =
     """Measure one path: depth d_j/n binned by j/l, backsteps per decile, first-half energy."""
     n = instance.n
     l = path.length
+    half = (l + 1) // 2
     bin_sums = [0.0] * PROFILE_BINS
     bin_counts = [0] * PROFILE_BINS
     deciles = [0] * BACKSTEP_DECILES
-    for j, (a, b) in enumerate(zip(path.vertices, path.vertices[1:]), start=1):
-        bin_index = min(PROFILE_BINS - 1, int(j / l * PROFILE_BINS))
-        bin_sums[bin_index] += bin(b).count("1") / n
-        bin_counts[bin_index] += 1
-        if b < a:  # a backstep clears the flipped bit
-            deciles[min(BACKSTEP_DECILES - 1, int((j - 0.5) / l * BACKSTEP_DECILES))] += 1
+    depth = 0
     first_half_energy = 0.0
-    for w in path.weights[: (l + 1) // 2]:
-        first_half_energy += w
+    for j, (step, w) in enumerate(zip(path.steps, path.weights), start=1):
+        depth += 1 if step > 0 else -1  # d_j, the sum of the first j step signs
+        bin_index = min(PROFILE_BINS - 1, int(j / l * PROFILE_BINS))
+        bin_sums[bin_index] += depth / n
+        bin_counts[bin_index] += 1
+        if step < 0:
+            deciles[min(BACKSTEP_DECILES - 1, int((j - 0.5) / l * BACKSTEP_DECILES))] += 1
+        if j <= half:
+            first_half_energy += w
     return TrialRecord(
         n=n,
         seed=instance.seed,

@@ -360,32 +360,37 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--fast") == (1, "crash  FAIL  error: boom\noverall: FAIL\n", "")
 
 
-def scipy_modules_loaded(*argv):
-    """The scipy modules a new interpreter holds after `from polylab import cli` and, given argv, `main(argv)`."""
+def scipy_modules_loaded(*commands):
+    """The scipy modules a new interpreter holds after `from polylab import cli`, then after each `main(argv)`."""
     proc = run_python(
-        "import sys; from polylab import cli; "
-        "status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
-        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr); "
-        "sys.exit(status)",
-        *argv,
+        "import json, sys\n"
+        "from polylab import cli\n"
+        "def report():\n"
+        "    print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr)\n"
+        "report()\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    report()\n",
+        json.dumps(commands),
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.splitlines()[-1].split()
+    return [line.split() for line in proc.stderr.splitlines()[-1 - len(commands) :]]
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
     # only the CSR engine (n <= CSR_MAX_DIMENSION) uses scipy, whose
     # sparse-graph modules doubled every other command's start-up time and
-    # peak memory
-    assert scipy_modules_loaded() == []
-    for argv in (
-        ("overlap", "--l", "3", "--k", "1", "--x", "1.0", "--mc-trials", "10000"),
-        ("count", "--n", "10", "--l", "60", "--d", "10"),
-        ("identity", "--n", "3", "--d", "3", "--x", "0.88", "--lmax", "60"),
-        ("geometry", "--K", "8"),
-        ("analyze",),
-        ("simulate", "--n", "20", "--trials", "1", "--seed", "0"),
-    ):
-        assert scipy_modules_loaded(*argv) == [], argv
+    # peak memory; one interpreter runs every command that must not load it
+    commands = (
+        ["overlap", "--l", "3", "--k", "1", "--x", "1.0", "--mc-trials", "10000"],
+        ["count", "--n", "10", "--l", "60", "--d", "10"],
+        ["identity", "--n", "3", "--d", "3", "--x", "0.88", "--lmax", "60"],
+        ["geometry", "--K", "8"],
+        ["analyze"],
+        ["simulate", "--n", "20", "--trials", "1", "--seed", "0"],
+    )
+    loaded = scipy_modules_loaded(*commands)
+    assert loaded == [[]] * (1 + len(commands)), list(zip([["import"], *commands], loaded))
     # the guard is not vacuous: a search at n <= 14 does load it
-    assert "scipy.sparse.csgraph" in scipy_modules_loaded("simulate", "--n", "12", "--trials", "1", "--seed", "0")
+    [after_search] = scipy_modules_loaded(["simulate", "--n", "12", "--trials", "1", "--seed", "0"])[1:]
+    assert "scipy.sparse.csgraph" in after_search

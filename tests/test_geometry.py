@@ -35,7 +35,7 @@ class TestCoarseGraining:
         cg = geometry.solve_coarse_graining(K)
         assert math.fsum(cg.a) == pytest.approx(1.0, abs=1e-12)
         for i in range(1, K + 1):
-            lhs = math.sinh(cg.abar[i] * E) * math.cosh(cg.aunder[i] * E)
+            lhs = math.sinh(cg.abar[i] * E) * math.cosh((1.0 - cg.abar[i]) * E)
             assert abs(lhs - i / K) <= 1e-10
 
     def test_rejects_nonpositive_k(self):
