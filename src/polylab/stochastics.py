@@ -256,28 +256,79 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-# Trials drawn at once: bounds the arrays of a block (at most about 56 bytes
-# a trial, 0.9 MiB) whatever the trial count.  On the criterion-08 grid at
-# 3e5 trials a cell took 19 ms at 2^14, against 34 ms at 2^12 and 23-27 ms
-# at 2^16-2^20 (2-vCPU x86).
-_MC_BLOCK = 1 << 14
+# Trials drawn at once: bounds the arrays of a call (eight of a block's
+# length, 2 MiB) whatever the trial count.  Over the 132 overlap_grid cells
+# at 3e5 trials, alternating in one process, 2^15 took 5% less time than
+# 2^14 (median of 8 passes, 2-vCPU x86).  Best of 5 over 27 of the cells,
+# two sessions: 782-788 ms at 2^12, 560-562 at 2^13, 392-471 at 2^14,
+# 361-434 at 2^15 and 401-429 at 2^16, with peak RSS 28.3, 28.5, 29.1,
+# 30.1 and 31.9 MiB; 2^16 was no faster and holds 1.8 MiB more.
+_MC_BLOCK = 1 << 15
 
 
-def _overlap_hits(idx: np.ndarray, spec: OverlapSpec, seed: int) -> int:
-    """How many trials among idx have both paths at most x; draws only for trials still alive."""
-    l, k, x = spec.l, spec.k, spec.x
-    trunk = np.zeros(len(idx))
-    for component in range(k):
-        trunk += prng.exponential_array(seed, idx, component)
-        alive = np.flatnonzero(trunk <= x)
-        idx, trunk = idx[alive], trunk[alive]
-    for first in (k, l):  # the first component of each completion
-        tail = np.zeros(len(idx))
-        for component in range(first, first + l - k):
-            tail += prng.exponential_array(seed, idx, component)
-            alive = np.flatnonzero(trunk + tail <= x)
-            idx, trunk, tail = idx[alive], trunk[alive], tail[alive]
-    return len(idx)
+class _McBlock:
+    """The arrays that every block of one `overlap_probability_mc` call works in.
+
+    They are allocated once per call, so the block loop allocates no array
+    (fresh arrays per block made glibc trim and regrow its heap in every
+    block).  The n trials still alive sit in slots 1, ..., n of the keys,
+    trunk sums and tail sums; slot 0 takes the writes of culled trials and
+    is never read.  Culling scatters the survivors to the front of a free
+    array of the same kind, which then takes the place of the one culled.
+    Their order does not matter: each trial's sums come from its own keyed
+    draws.
+    """
+
+    def __init__(self, size: int):
+        self.offsets = np.arange(size, dtype=np.uint64)
+        self.keys, self.scratch = np.empty((2, size + 1), dtype=np.uint64)
+        self.trunk, self.tail, self.draw, self.spare = np.empty((4, size + 1))
+        self.pos = np.empty(size + 1, dtype=np.int64)
+        self.alive = np.empty(size + 1, dtype=bool)
+
+    def hits(self, spec: OverlapSpec, seed: int, start: int, count: int) -> int:
+        """How many of the trials start, ..., start + count - 1 have both paths at most x.
+
+        A trial draws only while it is alive.  Each sum starts as its first
+        draw (0.0 + d is d) and adds the later ones in order.
+        """
+        l, k, x = spec.l, spec.k, spec.x
+        keys, scratch, trunk, tail, draw, spare = self.keys, self.scratch, self.trunk, self.tail, self.draw, self.spare
+        n = count
+        np.add(self.offsets[:n], np.uint64(start), out=keys[1 : n + 1])
+        if k == 0:
+            trunk[1 : n + 1] = 0.0
+        last = 2 * l - k - 1
+        # components 0, ..., k - 1 are the shared trunk, then k, ..., l - 1 and
+        # l, ..., last the two completions; 0, k and l each start a sum
+        for component in range(last + 1):
+            live = slice(1, n + 1)
+            in_trunk = component < k
+            sums = trunk if in_trunk else tail
+            fresh = component in (0, k, l)
+            drawn = prng.exponential_array(
+                seed, keys[live], component, out=(sums if fresh else draw)[live], scratch=scratch[live]
+            )
+            if not fresh:
+                sums[live] += drawn
+            total = trunk[live] if in_trunk else np.add(trunk[live], tail[live], out=draw[live])
+            alive = np.less_equal(total, x, out=self.alive[live])
+            kept = int(np.count_nonzero(alive))
+            if 0 < kept < n and component < last:
+                # the j-th survivor moves to slot j, every culled trial to slot 0; the
+                # kernel's scratch, free between draws, holds the 0/1 flags and then the keys
+                flags = scratch[live].view(np.int64)
+                flags[...] = alive
+                pos = np.cumsum(flags, out=self.pos[live])
+                pos *= flags
+                scratch[pos] = keys[live]
+                spare[pos] = trunk[live]
+                keys, scratch, trunk, spare = scratch, keys, spare, trunk
+                if not in_trunk:
+                    draw[pos] = tail[live]
+                    tail, draw = draw, tail
+            n = kept
+        return n
 
 
 def overlap_probability_mc(spec: OverlapSpec, trials: int, seed: int) -> McEstimate:
@@ -298,9 +349,9 @@ def overlap_probability_mc(spec: OverlapSpec, trials: int, seed: int) -> McEstim
     if trials < 10**4:
         raise UsageError(f"need at least 1e4 trials, got {trials}")
     prng.require_seeds(seed)
+    block = _McBlock(min(_MC_BLOCK, trials))
     hits = sum(
-        _overlap_hits(np.arange(start, min(start + _MC_BLOCK, trials), dtype=np.uint64), spec, seed)
-        for start in range(0, trials, _MC_BLOCK)
+        block.hits(spec, seed, start, min(_MC_BLOCK, trials - start)) for start in range(0, trials, _MC_BLOCK)
     )
     estimate = hits / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
