@@ -256,44 +256,60 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-# Trials drawn at once: bounds the arrays of a call (eight of a block's
-# length, 2 MiB) whatever the trial count.  Over the 132 overlap_grid cells
-# at 3e5 trials, alternating in one process, 2^15 took 5% less time than
-# 2^14 (median of 8 passes, 2-vCPU x86).  Best of 5 over 27 of the cells,
-# two sessions: 782-788 ms at 2^12, 560-562 at 2^13, 392-471 at 2^14,
-# 361-434 at 2^15 and 401-429 at 2^16, with peak RSS 28.3, 28.5, 29.1,
-# 30.1 and 31.9 MiB; 2^16 was no faster and holds 1.8 MiB more.
+# Trials drawn at once: bounds what a call holds, one buffer of nine rows of
+# a block's length (2.25 MiB, see _McBlock), whatever the trial count.  Over
+# the 132 overlap_grid cells at 3e5 trials, alternating in one process, 2^15
+# took 5% less time than 2^14 (median of 8 passes, 2-vCPU x86).  Best of 5
+# over 27 of the cells, two sessions: 782-788 ms at 2^12, 560-562 at 2^13,
+# 392-471 at 2^14, 361-434 at 2^15 and 401-429 at 2^16, with peak RSS 28.3,
+# 28.5, 29.1, 30.1 and 31.9 MiB; 2^16 was no faster and holds 1.8 MiB more.
 _MC_BLOCK = 1 << 15
 
 
 class _McBlock:
     """The arrays that every block of one `overlap_probability_mc` call works in.
 
-    They are allocated once per call, so the block loop allocates no array
-    (fresh arrays per block made glibc trim and regrow its heap in every
-    block).  The n trials still alive sit in slots 1, ..., n of the keys,
-    trunk sums and tail sums; slot 0 takes the writes of culled trials and
-    is never read.  Culling scatters the survivors to the front of a free
-    array of the same kind, which then takes the place of the one culled.
-    Their order does not matter: each trial's sums come from its own keyed
-    draws.
+    They are the rows of one buffer of nine rows of size + 1 words (2.25 MiB
+    at _MC_BLOCK), allocated once per call, so the block loop allocates no
+    array.  One allocation, not several, keeps the pages from one call to
+    the next.  glibc serves a process's first buffer by mmap, and freeing it
+    raises its mmap threshold to the buffer's size and its trim threshold to
+    twice that; later buffers then come from the heap, which keeps the freed
+    2.25 MiB below that trim threshold.  Eight separate arrays of at most a
+    quarter MiB raised the trim threshold only to about half a MiB, so the
+    heap gave back their 2 MiB after every call and the next call faulted it
+    in again: about 395 minor faults a 3e5-trial call, against none from the
+    third call on (2-vCPU x86, glibc 2.36; heap sizes read with mallinfo2).
+
+    The n trials still alive sit in slots 1, ..., n of the keys, trunk sums
+    and tail sums.  Culling numbers the survivors 1, ..., kept by a prefix
+    sum of their 0/1 flags, scatters each survivor's slot to its number in
+    `idx` (culled trials write slot 0 of it, never read) and gathers keys
+    and sums through `idx` into the front of a free row of the same kind,
+    which then takes the place of the one culled.  Their order does not
+    matter: each trial's sums come from its own keyed draws.
     """
 
     def __init__(self, size: int):
-        self.offsets = np.arange(size, dtype=np.uint64)
-        self.keys, self.scratch = np.empty((2, size + 1), dtype=np.uint64)
-        self.trunk, self.tail, self.draw, self.spare = np.empty((4, size + 1))
-        self.pos = np.empty(size + 1, dtype=np.int64)
-        self.alive = np.empty(size + 1, dtype=bool)
+        buffer = np.empty((9, size + 1), dtype=np.uint64)
+        self.offsets, self.keys, self.scratch = buffer[:3]
+        self.trunk, self.tail, self.draw, self.spare = buffer[3:7].view(np.float64)
+        self.pos, self.idx = buffer[7:].view(np.int64)
+        self.offsets[...] = np.arange(size + 1, dtype=np.uint64)
+        self.slots = self.offsets.view(np.int64)  # slot j holds j
+        # the first bytes of the idx row: each cull reads them into the flags before writing idx
+        self.alive = self.idx.view(bool)[: size + 1]
 
     def hits(self, spec: OverlapSpec, seed: int, start: int, count: int) -> int:
         """How many of the trials start, ..., start + count - 1 have both paths at most x.
 
-        A trial draws only while it is alive.  Each sum starts as its first
-        draw (0.0 + d is d) and adds the later ones in order.
+        A trial draws only while it is alive, and the block stops at the
+        first component that leaves none alive.  Each sum starts as its
+        first draw (0.0 + d is d) and adds the later ones in order.
         """
         l, k, x = spec.l, spec.k, spec.x
         keys, scratch, trunk, tail, draw, spare = self.keys, self.scratch, self.trunk, self.tail, self.draw, self.spare
+        slots, idx = self.slots, self.idx
         n = count
         np.add(self.offsets[:n], np.uint64(start), out=keys[1 : n + 1])
         if k == 0:
@@ -314,18 +330,23 @@ class _McBlock:
             total = trunk[live] if in_trunk else np.add(trunk[live], tail[live], out=draw[live])
             alive = np.less_equal(total, x, out=self.alive[live])
             kept = int(np.count_nonzero(alive))
-            if 0 < kept < n and component < last:
-                # the j-th survivor moves to slot j, every culled trial to slot 0; the
-                # kernel's scratch, free between draws, holds the 0/1 flags and then the keys
+            if kept == 0:
+                return 0
+            if kept < n and component < last:
+                # the j-th survivor's slot goes to idx[j], every culled trial's to idx[0];
+                # the kernel's scratch, free between draws, holds the 0/1 flags and then the keys
                 flags = scratch[live].view(np.int64)
                 flags[...] = alive
                 pos = np.cumsum(flags, out=self.pos[live])
                 pos *= flags
-                scratch[pos] = keys[live]
-                spare[pos] = trunk[live]
+                idx[pos] = slots[live]
+                moved, survivors = slice(1, kept + 1), idx[1 : kept + 1]
+                # mode="clip" writes straight into `out`; the default buffers it
+                np.take(keys, survivors, out=scratch[moved], mode="clip")
+                np.take(trunk, survivors, out=spare[moved], mode="clip")
                 keys, scratch, trunk, spare = scratch, keys, spare, trunk
                 if not in_trunk:
-                    draw[pos] = tail[live]
+                    np.take(tail, survivors, out=draw[moved], mode="clip")
                     tail, draw = draw, tail
             n = kept
         return n
@@ -339,7 +360,8 @@ def overlap_probability_mc(spec: OverlapSpec, trials: int, seed: int) -> McEstim
     binomial standard error.
 
     Trials run in blocks of _MC_BLOCK, and a trial stops drawing as soon as
-    its trunk, or its trunk plus a partial completion, exceeds x.  Every
+    its trunk, or its trunk plus a partial completion, exceeds x; a block
+    stops at the first component that leaves no trial alive.  Every
     draw is strictly positive and IEEE addition is monotone, so a partial
     sum above x stays above it: a dropped trial could never hit.  The sums
     of the trials kept are formed from the same draws in the same order as

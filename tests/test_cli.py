@@ -344,6 +344,34 @@ def test_usage_error_exits_2(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    # main builds its parser once per process: each call must parse as if it were the first
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text at the terminal width
+    golden = Path(__file__).with_name("golden")
+    out_file = tmp_path / "overlap_mc.csv"
+    mc = ["overlap", "--l", "3", "--k", "1", "--x", "1.0", "--mc-trials", "10000", "--seed", "5"]
+    assert run_cli(capsys, *mc, "--format", "csv", "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == (golden / "overlap_mc.csv").read_text()
+    overlap = ["overlap", "--l", "4", "--k", "2", "--x", "0.5"]
+    assert run_cli(capsys, *overlap) == (0, (golden / "overlap.json").read_text(), "")
+    code, fresh, _ = run_fresh_process("geometry", "--K", "2")
+    assert code == 0
+    assert run_cli(capsys, "geometry", "--K", "2") == (0, fresh, "")
+
+    count = ["count", "--n", "10", "--l", "14", "--d", "4"]
+    with pytest.raises(SystemExit) as err:
+        cli.main([*count, "--format", "xml"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *count) == (0, (golden / "count.json").read_text(), "")
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out == (golden / "help.txt").read_text()
+
+
 class TestVerify:
     def test_fast_battery_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fast")

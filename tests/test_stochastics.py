@@ -438,6 +438,70 @@ class TestOverlapProbabilityMc:
         assert float(estimate) == 134 / 3_000_000
         assert int(faults) < 2000
 
+    def test_later_calls_reuse_the_block_pages(self):
+        # Eight separate arrays a call made glibc give their pages back after
+        # every call: about 395 minor faults a call, 4,100 for these ten
+        # (2-vCPU x86, glibc 2.36).  A process's first buffer is served by
+        # mmap, whose release raises glibc's mmap and trim thresholds; the
+        # second grows the heap by the buffer, which then stays, so the ten
+        # calls after those two fault no page in.
+        code = (
+            "import resource\n"
+            "from polylab.stochastics import OverlapSpec, overlap_probability_mc\n"
+            "spec = OverlapSpec(8, 4, 2.0)\n"
+            "overlap_probability_mc(spec, 300_000, 0)\n"
+            "overlap_probability_mc(spec, 300_000, 0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "estimates = [overlap_probability_mc(spec, 300_000, seed).estimate for seed in range(1, 11)]\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, *map(repr, estimates))\n"
+        )
+        src = str(Path(polylab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        faults, *estimates = proc.stdout.split()
+        assert int(faults) < 100
+        spec = OverlapSpec(8, 4, 2.0)
+        assert [float(e) for e in estimates] == [
+            stochastics.overlap_probability_mc(spec, 300_000, seed).estimate for seed in range(1, 11)
+        ]
+
+    def test_no_kernel_call_after_a_block_empties(self, monkeypatch):
+        # the overlap_grid cells at 3e5 trials: ten blocks a cell, the last one partial
+        kernel, block_hits = prng.exponential_array, stochastics._McBlock.hits
+        lengths, blocks = [], []
+
+        def counting_kernel(seed, a, b, **buffers):
+            lengths.append(len(a))
+            return kernel(seed, a, b, **buffers)
+
+        def recording_hits(block, spec, seed, start, count):
+            calls = len(lengths)
+            hits = block_hits(block, spec, seed, start, count)
+            blocks.append((spec, count, len(lengths) - calls, hits))
+            return hits
+
+        monkeypatch.setattr(prng, "exponential_array", counting_kernel)
+        monkeypatch.setattr(stochastics._McBlock, "hits", recording_hits)
+        cells = [OverlapSpec(l, k, x) for l in range(1, 9) for k in range(l + 1) for x in (0.5, 1.0, 2.0)]
+        for spec in cells:
+            stochastics.overlap_probability_mc(spec, 300_000, seed=1000)
+        assert min(lengths) > 0
+        # cells where a block emptied before its last component and the last,
+        # partial block still hit: stopping a block must not stop the call
+        per_cell = {spec: [b for b in blocks if b[0] == spec] for spec in cells}
+        resumed = [
+            spec
+            for spec, cell in per_cell.items()
+            if any(calls < 2 * spec.l - spec.k and hits == 0 for _, _, calls, hits in cell[:-1])
+            and cell[-1][1] < stochastics._MC_BLOCK
+            and cell[-1][3] > 0
+        ]
+        assert len(resumed) >= 3, resumed
+        monkeypatch.undo()
+        for spec in resumed:
+            assert stochastics.overlap_probability_mc(spec, 300_000, 1000) == _full_array_mc(spec, 300_000, 1000)
+
     def test_rejects_few_trials(self):
         with pytest.raises(ValueError):
             stochastics.overlap_probability_mc(OverlapSpec(3, 1, 1.0), 10**3, seed=0)
