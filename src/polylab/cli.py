@@ -201,9 +201,23 @@ def _cmd_overlap(args) -> int:
     return 0
 
 
+def trial_record_json_dict(record: simulator.TrialRecord) -> dict:
+    """One flat dict per trial; empty profile bins stay NaN, which the writer blanks."""
+    return {
+        "n": record.n,
+        "seed": record.seed,
+        "trial": record.trial,
+        "m_n": record.m_n,
+        "length": record.length,
+        "backsteps": record.backstep_count,
+        "e_first_half": record.first_half_energy,
+        **{f"bin_{i:02d}": v for i, v in enumerate(record.profile_bins)},
+    }
+
+
 def _cmd_simulate(args) -> int:
     records, summary = simulator.run_trials(args.n, args.trials, args.seed, args.parallelism)
-    trials = [simulator.trial_record_json_dict(r) for r in records]
+    trials = [trial_record_json_dict(r) for r in records]
     payload = {"trials": trials, "aggregate": dataclasses.asdict(summary)}
     _write(args, payload, trials[0].keys(), [t.values() for t in trials])
     return 0

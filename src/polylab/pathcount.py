@@ -11,6 +11,7 @@ truncation residuals, upper bounds on single counts, the normalized
 length-weight distribution at x = E (which has total mass sinh(E)^n = 1),
 and the exact tail sums behind the length concentration statement; the
 first, third and fourth share one series of correctly rounded terms.
+The directed-overlap counts F(n,k) come from a DP over permutation blocks.
 """
 
 import decimal
@@ -122,6 +123,28 @@ def brute_force_walk_count(n: int, l: int, d: int) -> int:
                     nxt[v ^ (1 << bit)] += c
         occupancy = nxt
     return occupancy[(1 << d) - 1]
+
+
+def directed_overlap_table(n: int) -> list[int]:
+    """Entry k is F(n,k), the number of directed paths sharing exactly k edges with the path 1,2,...,n.
+
+    A directed path, a permutation of the coordinates, shares the edge at
+    level j iff its first j-1 and j coordinates are {1..j-1} and {1..j}:
+    iff {j} is one of its indecomposable blocks.  I(s), the indecomposable
+    permutations of s, obey I(s) = s! - sum_{0<j<s} I(j) (s-j)! (OEIS A003319),
+    and F(n,.) = G(n,.) for G(m,k) = G(m-1,k-1) + sum_{s>=2} I(s) G(m-s,k).
+    """
+    _require_distance(n, 0)
+    blocks = [0]  # blocks[s] = I(s)
+    tables = [[1]]  # tables[m][k] = G(m, k), for k = 0..m
+    for m in range(1, n + 1):
+        blocks.append(math.factorial(m) - sum(blocks[j] * math.factorial(m - j) for j in range(1, m)))
+        table = [0, *tables[m - 1]]
+        for s in range(2, m + 1):
+            for k, g in enumerate(tables[m - s]):
+                table[k] += blocks[s] * g
+        tables.append(table)
+    return tables[n]
 
 
 def identity_remainder_bound(n: int, x: float, l_max: int) -> float:

@@ -18,8 +18,7 @@ its signed coordinate and edge weight.  m_n, the length and the backsteps
 are read off those, and `path_statistics` turns them into a `TrialRecord`
 of the per-path geometry (length, depth profile, backstep placement,
 energy split) that is measured against the closed-form predictions.  Small
-instances carry an exhaustive simple-path oracle, and a separate
-brute-force counter measures edge overlaps between directed paths.
+instances carry an exhaustive simple-path oracle.
 """
 
 import math
@@ -27,12 +26,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
 
-from . import UsageError, prng
+from . import UsageError, pathcount, prng
 
 MAX_DIMENSION = 26
 # Largest n searched by compiled CSR Dijkstra; above it the ball search is
@@ -133,6 +131,8 @@ class PolymerPath:
     def from_vertices(cls, instance: HypercubeInstance, vertices) -> "PolymerPath":
         """Raises ValueError unless the walk runs from 0 to the target by single-bit flips."""
         vertices = tuple(vertices)
+        if not vertices:
+            raise ValueError("path has no vertices")
         if vertices[0] != 0 or vertices[-1] != instance.target:
             raise ValueError(f"path runs from {vertices[0]} to {vertices[-1]}, not from 0 to {instance.target}")
         steps = []
@@ -603,54 +603,16 @@ def run_trials(
     return records, aggregate_records(records, base_seed)
 
 
-def directed_overlap_table(n: int) -> list[int]:
-    """Entry k counts the directed paths sharing exactly k edges with the path 1,2,...,n.
-
-    A directed path is a permutation of the coordinate order; it traverses
-    the reference edge at level j iff its first j-1 coordinates are exactly
-    {1..j-1} and the j-th is j.  Exhaustive over all n! permutations, n <= 7.
-    """
-    if not 1 <= n <= 7:
-        raise UsageError(f"brute force limited to n <= 7, got {n}")
-    counts = [0] * (n + 1)
-    for sigma in permutations(range(1, n + 1)):
-        shared = 0
-        max_seen = 0
-        for j, value in enumerate(sigma, start=1):
-            # the j-1 distinct earlier values equal {1..j-1} iff their max is j-1
-            if max_seen == j - 1 and value == j:
-                shared += 1
-            if value > max_seen:
-                max_seen = value
-        counts[shared] += 1
-    return counts
-
-
-def trial_record_json_dict(record: TrialRecord) -> dict:
-    """One flat dict per trial; empty profile bins stay NaN, which the writer blanks."""
-    return {
-        "n": record.n,
-        "seed": record.seed,
-        "trial": record.trial,
-        "m_n": record.m_n,
-        "length": record.length,
-        "backsteps": record.backstep_count,
-        "e_first_half": record.first_half_energy,
-        **{f"bin_{i:02d}": v for i, v in enumerate(record.profile_bins)},
-    }
-
-
 def directed_overlap_envelopes(n: int) -> list[tuple[int, int, int, bool, bool]]:
-    """(k, F(n,k), coarse bound, coarse ok, refined ok for k <= n^(1/4)) rows.
+    """(k, F(n,k), coarse bound, coarse ok, refined ok for k <= n^(1/4)) rows, F from `pathcount`.
 
-    Coarse: F(n,k) <= (n-k)! C(n,k); refined, checked only for k <= n^{1/4}:
-    F(n,k) <= 2 (n-k)! (k+1).
+    Coarse: F(n,k) <= (n-k)! C(n,k); refined, checked only for k <= n^{1/4}: F(n,k) <= 2 (n-k)! (k+1).
+    It stays beside the engine because the benchmark's tracer wraps it by this name.
     """
-    counts = directed_overlap_table(n)
+    counts = pathcount.directed_overlap_table(n)
     rows = []
     for k, f in enumerate(counts):
         coarse = factorial(n - k) * comb(n, k)
-        refined_applicable = k <= n**0.25
-        refined_ok = (f <= 2 * factorial(n - k) * (k + 1)) if refined_applicable else True
+        refined_ok = k > n**0.25 or f <= 2 * factorial(n - k) * (k + 1)
         rows.append((k, f, coarse, f <= coarse, refined_ok))
     return rows

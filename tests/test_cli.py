@@ -1,27 +1,18 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import polylab
 from polylab import checks, cli, simulator
+
+from conftest import run_python
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(code, *argv):
-    """`python -c code argv` in a new interpreter that imports this checkout's polylab."""
-    src = str(Path(polylab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
 
 
 def run_fresh_process(*argv):
@@ -295,6 +286,18 @@ class TestSimulate:
         code, out, _ = run_fresh_process(*argv, "--parallelism", "2")
         assert code == 0
         assert out == run_cli(capsys, *argv)[1]
+
+
+class TestSerialization:
+    def test_json_fields(self):
+        records, _ = simulator.run_trials(5, 2, base_seed=3)
+        payload = cli.trial_record_json_dict(records[0])
+        assert set(payload) == {
+            "n", "seed", "trial", "m_n", "length", "backsteps", "e_first_half",
+            *(f"bin_{i:02d}" for i in range(20)),
+        }
+        # empty bins stay NaN here; the CLI writer turns them into null or an empty cell
+        assert any(math.isnan(payload[f"bin_{i:02d}"]) for i in range(20))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polylab
-from polylab import pathcount
+from polylab import pathcount, simulator
 from polylab.constants import E, L
 
 REFERENCE = Path(__file__).parents[1] / "bench" / "reference.json"
@@ -360,3 +360,59 @@ class TestConcentrationTailMass:
     def test_rejects_a_that_is_not_finite(self, a):
         with pytest.raises(polylab.UsageError):
             pathcount.concentration_tail_mass(20, 0.2, a)
+
+
+def _enumerated_overlap_table(n):
+    """F(n, k) by exhaustion over all n! coordinate orders: the oracle for the DP, n <= 7."""
+    counts = [0] * (n + 1)
+    for sigma in itertools.permutations(range(1, n + 1)):
+        shared = 0
+        max_seen = 0
+        for j, value in enumerate(sigma, start=1):
+            # the j-1 distinct earlier values equal {1..j-1} iff their max is j-1
+            if max_seen == j - 1 and value == j:
+                shared += 1
+            max_seen = max(max_seen, value)
+        counts[shared] += 1
+    return counts
+
+
+class TestDirectedOverlapCount:
+    FROZEN = {
+        2: [1, 0, 1],
+        3: [3, 2, 0, 1],
+        4: [14, 6, 3, 0, 1],
+        5: [77, 29, 9, 4, 0, 1],
+        6: [497, 160, 45, 12, 5, 0, 1],
+        7: [3676, 1031, 249, 62, 15, 6, 0, 1],
+    }
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_enumeration(self, n):
+        assert pathcount.directed_overlap_table(n) == _enumerated_overlap_table(n)
+
+    def test_identity_only_full_overlap(self):
+        # only the identity order shares all n edges; sharing n - 1 forces the n-th
+        for n in range(1, 65):
+            table = pathcount.directed_overlap_table(n)
+            assert table[n] == 1 and table[n - 1] == 0
+
+    def test_frozen_tables(self):
+        for n, expected in self.FROZEN.items():
+            assert pathcount.directed_overlap_table(n) == expected
+
+    def test_total_is_factorial(self):
+        for n in range(1, 65):
+            assert sum(pathcount.directed_overlap_table(n)) == math.factorial(n)
+
+    def test_refined_envelope_n5_k1(self):
+        assert pathcount.directed_overlap_table(5)[1] <= math.factorial(4) * 2 * 1.5
+
+    def test_envelopes_hold_at_n64(self):
+        rows = simulator.directed_overlap_envelopes(64)
+        assert len(rows) == 65
+        assert all(coarse_ok and refined_ok for *_, coarse_ok, refined_ok in rows)
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(polylab.UsageError):
+            pathcount.directed_overlap_table(0)

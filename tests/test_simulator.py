@@ -168,6 +168,8 @@ class TestPolymerPath:
             PolymerPath.from_vertices(inst, [1, 3, 7])  # wrong start
         with pytest.raises(ValueError):
             PolymerPath.from_vertices(inst, [0, 1, 3])  # wrong end
+        with pytest.raises(ValueError):
+            PolymerPath.from_vertices(inst, [])  # no ends at all
 
     def test_energy_is_sum_of_edge_weights(self):
         inst = HypercubeInstance(n=4, seed=11)
@@ -616,47 +618,3 @@ class TestAggregateRecords:
         _, summary = simulator.run_trials(n, trials, base_seed)
         # repr-level comparison: nan never equals itself
         assert repr(dataclasses.asdict(summary)) == repr(self.FROZEN[n, trials, base_seed])
-
-
-class TestSerialization:
-    def test_json_fields(self):
-        records, _ = simulator.run_trials(5, 2, base_seed=3)
-        payload = simulator.trial_record_json_dict(records[0])
-        assert set(payload) == {
-            "n", "seed", "trial", "m_n", "length", "backsteps", "e_first_half",
-            *(f"bin_{i:02d}" for i in range(20)),
-        }
-        # empty bins stay NaN here; the CLI writer turns them into null or an empty cell
-        assert any(math.isnan(payload[f"bin_{i:02d}"]) for i in range(20))
-
-
-class TestDirectedOverlapCount:
-    FROZEN = {
-        2: [1, 0, 1],
-        3: [3, 2, 0, 1],
-        4: [14, 6, 3, 0, 1],
-        5: [77, 29, 9, 4, 0, 1],
-        6: [497, 160, 45, 12, 5, 0, 1],
-        7: [3676, 1031, 249, 62, 15, 6, 0, 1],
-    }
-
-    def test_identity_only_full_overlap(self):
-        # only the identity order shares all n edges; sharing n - 1 forces the n-th
-        for n in range(2, 8):
-            table = simulator.directed_overlap_table(n)
-            assert table[n] == 1 and table[n - 1] == 0
-
-    def test_frozen_tables(self):
-        for n, expected in self.FROZEN.items():
-            assert simulator.directed_overlap_table(n) == expected
-
-    def test_total_is_factorial(self):
-        for n in range(2, 8):
-            assert sum(simulator.directed_overlap_table(n)) == math.factorial(n)
-
-    def test_refined_envelope_n5_k1(self):
-        assert simulator.directed_overlap_table(5)[1] <= math.factorial(4) * 2 * 1.5
-
-    def test_rejects_large_n(self):
-        with pytest.raises(ValueError):
-            simulator.directed_overlap_table(8)

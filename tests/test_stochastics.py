@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from collections.abc import Iterator
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +12,8 @@ import polylab
 from polylab import checks, prng, stochastics
 from polylab.constants import E
 from polylab.stochastics import McEstimate, OverlapSpec
+
+from conftest import run_python
 
 
 class TestErlangCdf:
@@ -420,9 +418,9 @@ class TestOverlapProbabilityMc:
     def test_fresh_process_does_not_churn_the_heap(self):
         # Arrays allocated and freed in every block made glibc trim and regrow
         # its heap: this call took 20.7k-22.3k minor faults in a fresh process
-        # then, and 457 with the arrays allocated once per call (2-vCPU x86,
-        # glibc 2.36).  The pytest process itself has loaded scipy, whose
-        # import raises glibc's trim threshold, so the call runs in a new one.
+        # then, and 576-577 with the arrays carved from one buffer per call
+        # (2-vCPU x86, glibc 2.36).  The pytest process itself has loaded scipy,
+        # whose import raises glibc's trim threshold, so the call runs in a new one.
         code = (
             "import resource\n"
             "from polylab.stochastics import OverlapSpec, overlap_probability_mc\n"
@@ -430,9 +428,7 @@ class TestOverlapProbabilityMc:
             "mc = overlap_probability_mc(OverlapSpec(8, 4, 2.0), 3_000_000, 5)\n"
             "print(repr(mc.estimate), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = str(Path(polylab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
         estimate, faults = proc.stdout.split()
         assert float(estimate) == 134 / 3_000_000
@@ -455,9 +451,7 @@ class TestOverlapProbabilityMc:
             "estimates = [overlap_probability_mc(spec, 300_000, seed).estimate for seed in range(1, 11)]\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, *map(repr, estimates))\n"
         )
-        src = str(Path(polylab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
         faults, *estimates = proc.stdout.split()
         assert int(faults) < 100
