@@ -38,12 +38,12 @@ MAX_DIMENSION = 26
 # host whose speed swings 1.5x, CSR vs ball search (ranges over 3 runs):
 #
 #   n    seeds   CSR         ball search
-#   11   0-99    0.63-0.83   3.46-4.08
-#   12   0-99    1.20-1.25   4.91-5.37
-#   13   0-99    1.74-2.32   4.57-6.48
-#   14   0-99    5.75-6.86   7.18-8.27   (CSR faster in 3 of 3 runs)
-#   15   0-23    14.0-15.4   8.67-9.99
-#   16   0-11    34.5-37.9   9.65-13.4
+#   11   0-99    0.40-0.40   1.94-2.15
+#   12   0-99    0.66-0.75   2.42-2.49
+#   13   0-99    1.23-1.25   2.91-3.04
+#   14   0-99    2.51-2.88   3.59-3.85   (CSR faster in 3 of 3 runs)
+#   15   0-23    6.78-7.14   4.43-4.78
+#   16   0-11    16.1-16.6   5.35-5.66
 #
 # The move from 13 to 14 rests on these per-search timings alone: no
 # benchmark workload runs n = 13-15.
@@ -253,9 +253,24 @@ def _chain(pred_of, vertex: int) -> list[int]:
 
 
 def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each key in the sorted `ids` (any index where absent), and whether it is present."""
-    pos = np.minimum(np.searchsorted(ids, keys), len(ids) - 1)
-    return pos, ids[pos] == keys
+    """Where each key is, or would be inserted, in the sorted `ids`, and whether it is present.
+
+    An absent key's slot may be len(ids): read values at the slots with
+    `take(slot, mode="clip")`.
+    """
+    slot = ids.searchsorted(keys)
+    return slot, ids.take(slot, mode="clip") == keys
+
+
+def _picked(mask: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of three arrays of mask's length where `mask` holds.
+
+    One pass finds their indices and `take` gathers each array: on masks
+    that mix true and false, boolean indexing runs 2-3x slower from a few
+    thousand entries on.
+    """
+    at = mask.nonzero()[0]
+    return a.take(at), b.take(at), c.take(at)
 
 
 def _joined(parts: list[tuple]) -> tuple:
@@ -266,6 +281,27 @@ def _joined(parts: list[tuple]) -> tuple:
 # Frontier vertices relaxed at once: bounds the temporaries of a round
 # (about a dozen arrays of block * n entries) whatever the frontier size.
 _RELAX_BLOCK = 1 << 13
+# A phase of a ball of k looks up staleness among the _WINDOW * k smallest
+# pending labels first.  Over n = 5-22 (seeds 0-4) that window held more
+# than k live labels in all but 4 of 1,148 phases, and the phases looked up
+# 0.46 of the labels they held at n = 5, 0.10 at n = 20 and 0.09 at n = 22.
+_WINDOW = 2
+
+
+@lru_cache(maxsize=None)
+def _relax_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ball search's `bits`, 1 << d for each dim d, and `dim_cycle`, each edge's dimension in a relaxed block.
+
+    An edge's dimension is its second prng key; a block relaxes the n edges
+    of each frontier vertex in turn, so `dim_cycle` repeats 0..n-1 for up to
+    _RELAX_BLOCK vertices.  One pair per n, read-only because every search,
+    on any thread, shares it.
+    """
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    dim_cycle = np.tile(np.arange(n, dtype=np.uint64), min(_RELAX_BLOCK, 1 << n))
+    for array in (bits, dim_cycle):
+        array.flags.writeable = False
+    return bits, dim_cycle
 
 
 class _Ball:
@@ -274,8 +310,11 @@ class _Ball:
     `keys` are the vertices, sorted; `dist` is each one's exact distance
     from the corner and `pred` the previous vertex, -1 at the corner.
     `radius` bounds every stored label.  `pending` lists (key, dist, pred)
-    arrays of the labels found beyond the radius; a key may repeat, and a
-    key the ball has since labelled is stale.
+    arrays of the labels found beyond the radius; a key may repeat.  A key
+    the ball has since labelled is stale, and may stay pending until a
+    phase's window of its smallest labels reaches it (see
+    `_BallSearch._grow`): the stored label is exact, so a stale one never
+    beats it, and `lower` rejects it if it joins.
     """
 
     def __init__(self, corner: int):
@@ -289,24 +328,52 @@ class _Ball:
         """The stored predecessor of a labelled vertex, -1 at the corner."""
         return self.pred[np.searchsorted(self.keys, vertex)]
 
+    def next_radius(self, keys: np.ndarray, dist: np.ndarray, live: np.ndarray, cap: float) -> float:
+        """The radius of the next phase, by the window rule of `_BallSearch._grow`, from the pending labels.
+
+        `live` flags the labels within `cap`; it is cleared at every stale
+        label looked up.
+        """
+        k = len(self.keys)
+        useful = live.nonzero()[0]
+        window = _WINDOW * k
+        while True:
+            near = useful
+            if window < len(useful):
+                near = useful[dist[useful].argpartition(window - 1)[:window]]
+            _, stale = _lookup(self.keys, keys[near])
+            live[near[stale]] = False
+            candidates = dist[near[~stale]]
+            if len(candidates) > k or window >= len(useful):
+                break
+            window *= 2
+        if len(candidates) > k:
+            candidates.partition(k - 1)
+            return float(candidates[k - 1])
+        if math.isfinite(cap) or not len(candidates):  # every useful label joins: go to the cap
+            return cap
+        return float(candidates.max())
+
     def lower(self, keys: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store each key's cheapest candidate label where it beats the stored one; return those keys and labels."""
         if not len(keys):
             return keys, dist
         order = np.lexsort((dist, keys))  # stable: a tie keeps the first candidate
-        keys, dist, pred = keys[order], dist[order], pred[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        pick = np.flatnonzero(first)
+        keys, dist, pred = keys.take(order), dist.take(order), pred.take(order)
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        pick = first.nonzero()[0]
         pos, known = _lookup(self.keys, keys[pick])
-        better = ~known | (dist[pick] < self.dist[pos])
-        pick, pos, known = pick[better], pos[better], known[better]
-        keys, dist, pred = keys[pick], dist[pick], pred[pick]
+        better = ~known | (dist[pick] < self.dist.take(pos, mode="clip"))
+        pick, pos, known = _picked(better, pick, pos, known)
+        keys, dist, pred = keys.take(pick), dist.take(pick), pred.take(pick)
         if known.any():
             self.dist[pos[known]] = dist[known]
             self.pred[pos[known]] = pred[known]
         new = ~known
-        at = np.searchsorted(self.keys, keys[new]) + np.arange(np.count_nonzero(new))  # places after the merge
+        at = pos[new]
+        at += np.arange(len(at))  # places after the merge
         old = np.ones(len(self.keys) + len(at), dtype=bool)
         old[at] = False
         self.keys, self.dist, self.pred = (
@@ -336,9 +403,7 @@ class _BallSearch:
         n = instance.n
         self.n = n
         self.seed = instance.seed
-        self.bits = np.int64(1) << np.arange(n, dtype=np.int64)
-        # an edge's second prng key, its dimension, frontier vertex by vertex
-        self.dim_cycle = np.tile(np.arange(n, dtype=np.uint64), min(_RELAX_BLOCK, instance.num_vertices))
+        self.bits, self.dim_cycle = _relax_layout(n)
         self.balls = (_Ball(0), _Ball(instance.target))
         self.upper = math.inf
         self.meet = (-1, -1)  # the cheapest edge's endpoints, in ball 0 and in ball 1
@@ -347,7 +412,7 @@ class _BallSearch:
         for side, ball in enumerate(self.balls):
             self._settle(side, ball.keys, ball.dist)
         while not self._certified():
-            self._grow()
+            self._settle(*self._grow())
         return _chain(self.balls[0].pred_of, self.meet[0])[::-1] + _chain(self.balls[1].pred_of, self.meet[1])
 
     def _certified(self) -> bool:
@@ -356,25 +421,31 @@ class _BallSearch:
         radius_0, radius_1 = (ball.radius for ball in self.balls)
         return self.upper - radius_1 <= radius_0 or self.upper - radius_0 <= radius_1
 
-    def _grow(self) -> None:
-        """One phase: the smaller ball (ball 0 on a tie) takes as many live pending labels as it holds."""
+    def _grow(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Start a phase: the smaller ball (ball 0 on a tie) takes as many live pending labels as it holds.
+
+        Returns the ball's side and the labels that joined it, the frontier
+        of the phase's first round.  With k the ball's size, the new radius
+        is the k-th smallest live pending label within the cap (the cap
+        itself, or the largest label if the cap is infinite, when k or fewer
+        are live).  Staleness is looked up only in a window of the smallest
+        labels within the cap: _WINDOW * k of them, doubled while it holds k
+        or fewer live ones, up to all of them.  Every label outside the
+        window is at least as far as every label in it, so the window's
+        k-th smallest live label is the list's.  Stale labels found in the
+        window are dropped; the rest stay pending unchecked, and one that
+        joins is rejected by `lower`.
+        """
         side = int(len(self.balls[1].keys) < len(self.balls[0].keys))
         ball = self.balls[side]
         cap = self.upper - self.balls[1 - side].radius
-        k = len(ball.keys)
         keys, dist, pred = _joined(ball.pending)
-        _, stale = _lookup(ball.keys, keys)
-        live = ~stale & (dist <= cap)
-        keys, dist, pred = keys[live], dist[live], pred[live]
-        if len(dist) > k:
-            ball.radius = float(np.partition(dist, k - 1)[k - 1])
-        elif math.isfinite(cap) or not len(dist):  # every useful label joins: go to the cap
-            ball.radius = cap
-        else:
-            ball.radius = float(dist.max())
-        join = dist <= ball.radius
-        ball.pending = [(keys[~join], dist[~join], pred[~join])]
-        self._settle(side, *ball.lower(keys[join], dist[join], pred[join]))
+        live = dist <= cap
+        ball.radius = ball.next_radius(keys, dist, live, cap)
+        join = live & (dist <= ball.radius)
+        live ^= join
+        ball.pending = [(keys[live], dist[live], pred[live])]  # most labels stay: no index array needed
+        return (side, *ball.lower(*_picked(join, keys, dist, pred)))
 
     def _settle(self, side: int, keys: np.ndarray, dist: np.ndarray) -> None:
         """Label-correcting rounds from the given frontier of a ball until no label within its radius falls."""
@@ -389,26 +460,33 @@ class _BallSearch:
         """Relax the n edges at each vertex of the ball's sorted frontier; return the labels within its radius.
 
         Records the walks that reach the other ball in `upper` and keeps the
-        labels beyond the radius pending.
+        labels beyond the radius pending.  Once `upper` is finite, only the
+        edges with dist < upper are looked up in the other ball: a longer
+        one closes no cheaper walk.  The cheapest walk is the first of its
+        cost among those edges, in frontier order, as among all of them.
         """
         ball, other = self.balls[side], self.balls[1 - side]
         keys = (frontier[:, None] ^ self.bits).ravel()
-        pred = np.repeat(frontier, self.n)
-        dist = np.repeat(frontier_dist, self.n) + prng.exponential_array(
+        pred = frontier.repeat(self.n)
+        dist = frontier_dist.repeat(self.n) + prng.exponential_array(
             self.seed, keys & pred, self.dim_cycle[: len(keys)]  # the lower endpoint is the edge's first prng key
         )
-        pos, hit = _lookup(other.keys, keys)
-        total = np.where(hit, dist + other.dist[pos], math.inf)
-        i = int(total.argmin())
-        if total[i] < self.upper:
-            self.upper = float(total[i])
-            ends = (int(pred[i]), int(keys[i]))
-            self.meet = ends if side == 0 else ends[::-1]
+        near_keys, near_dist, near_pred = keys, dist, pred
+        if math.isfinite(self.upper):
+            near_keys, near_dist, near_pred = _picked(dist < self.upper, keys, dist, pred)
+        pos, hit = _lookup(other.keys, near_keys)
+        total = np.where(hit, near_dist + other.dist.take(pos, mode="clip"), math.inf)
+        if len(total):
+            i = int(total.argmin())
+            if total[i] < self.upper:
+                self.upper = float(total[i])
+                ends = (int(near_pred[i]), int(near_keys[i]))
+                self.meet = ends if side == 0 else ends[::-1]
         useful = dist <= self.upper - other.radius
-        beyond = useful & (dist > ball.radius)
-        ball.pending.append((keys[beyond], dist[beyond], pred[beyond]))
-        within = useful & ~beyond
-        return keys[within], dist[within], pred[within]
+        within = useful & (dist <= ball.radius)
+        beyond = useful ^ within
+        ball.pending.append(_picked(beyond, keys, dist, pred))
+        return _picked(within, keys, dist, pred)
 
 
 def _merged(stored: np.ndarray, old: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:

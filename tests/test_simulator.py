@@ -344,6 +344,84 @@ class TestGroundState:
         assert min(values) == pytest.approx(0.8800098467873847, rel=1e-12)
 
 
+def _growing(search) -> tuple:
+    """The ball the next `_grow` raises, the smaller (ball 0 on a tie), and the other ball."""
+    side = int(len(search.balls[1].keys) < len(search.balls[0].keys))
+    return search.balls[side], search.balls[1 - side]
+
+
+def _whole_list_radius(search) -> float:
+    """The radius the next `_grow` must set, from every pending label of the growing ball.
+
+    The oracle for the windowed stale check: it drops every stale label
+    (a key the ball has labelled) before taking the k-th smallest live one.
+    """
+    ball, other = _growing(search)
+    cap = search.upper - other.radius
+    k = len(ball.keys)
+    keys, dist = (np.concatenate(column) for column in list(zip(*ball.pending))[:2])
+    dist = np.sort(dist[~np.isin(keys, ball.keys) & (dist <= cap)])
+    if len(dist) > k:
+        return float(dist[k - 1])
+    if math.isfinite(cap) or not len(dist):
+        return cap
+    return float(dist.max())
+
+
+class TestBallSearchPhases:
+    @pytest.fixture
+    def phases(self, monkeypatch):
+        """Every `_grow` as (oracle radius, radius set, labels pending at phase start, sizes of its stale lookups)."""
+        records = []
+        stale_lookups = None  # the running _grow's, until its labels join the ball
+        lookup, lower, grow = simulator._lookup, simulator._Ball.lower, simulator._BallSearch._grow
+
+        def recording_lookup(ids, keys):
+            if stale_lookups is not None:
+                stale_lookups.append(len(keys))
+            return lookup(ids, keys)
+
+        def joining_lower(ball, *labels):
+            nonlocal stale_lookups
+            stale_lookups = None
+            return lower(ball, *labels)
+
+        def recorded_grow(search):
+            nonlocal stale_lookups
+            ball = _growing(search)[0]
+            oracle = _whole_list_radius(search)
+            held = sum(len(keys) for keys, _, _ in ball.pending)
+            stale_lookups = lookups = []
+            frontier = grow(search)
+            records.append((oracle, ball.radius, held, lookups))
+            return frontier
+
+        monkeypatch.setattr(simulator, "_lookup", recording_lookup)
+        monkeypatch.setattr(simulator._Ball, "lower", joining_lower)
+        monkeypatch.setattr(simulator._BallSearch, "_grow", recorded_grow)
+        return records
+
+    @pytest.mark.parametrize("window", [None, 1], ids=["default", "widening"])
+    def test_window_sets_the_whole_list_radius(self, monkeypatch, phases, window):
+        if window is not None:  # k labels never hold more than k live ones, so every window widens
+            monkeypatch.setattr(simulator, "_WINDOW", window)
+        for n in range(5, 19):
+            for seed in range(5):
+                simulator._ball_search(HypercubeInstance(n=n, seed=seed))
+        assert len(phases) > 700
+        for oracle, radius, _, _ in phases:
+            assert radius == oracle
+        if window is not None:
+            assert any(len(lookups) > 1 for _, _, _, lookups in phases)
+
+    def test_stale_lookups_stay_cut(self, phases):
+        for seed in range(4):
+            simulator._ball_search(HypercubeInstance(n=20, seed=seed))
+        looked_up = sum(sum(lookups) for _, _, _, lookups in phases)
+        held = sum(held for _, _, held, _ in phases)
+        assert looked_up <= held / 4, (looked_up, held)
+
+
 class TestBruteForceGroundState:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
