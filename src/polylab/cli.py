@@ -121,7 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument(
+        "--parallelism",
+        type=int,
+        default=1,
+        help=f"threads that run trials, for n >= {simulator.CSR_MAX_DIMENSION + 1} only; smaller n runs on one thread",
+    )
     _output_options(p)
 
     p = sub.add_parser("verify", help="run the invariant battery; exit 0 iff all pass")

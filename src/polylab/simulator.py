@@ -8,7 +8,8 @@ vertex.  Both engines label a ball around each corner and stop once the two
 radii sum to at least the cheapest walk through an edge between the balls,
 which is then m_n.  For n <= CSR_MAX_DIMENSION, compiled sparse Dijkstra
 runs from both corners over the materialized weight table (each edge drawn
-once), bounded by a radius that grows until that holds, and the cheapest
+once, into the weights of one reused CSR graph per thread), bounded by a
+radius that grows until that holds, and the cheapest
 walk is read off the rows labelled from 0; above it a ball search grows
 one ball per phase in vectorized Delta-stepping rounds, draws the weights
 of the edges it relaxes, and keeps state only for the two balls.
@@ -23,6 +24,7 @@ instances carry an exhaustive simple-path oracle.
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,22 +95,21 @@ def edge_weight(instance: HypercubeInstance, vertex: int, dim: int) -> float:
     return prng.exponential(instance.seed, canonical, dim)
 
 
-def weight_table(instance: HypercubeInstance) -> np.ndarray:
+def weight_table(instance: HypercubeInstance, out: np.ndarray | None = None) -> np.ndarray:
     """All edge weights as a (2^n, n) array; entry [v, d] is `edge_weight(v, d)` up to one ulp.
 
     Each edge is drawn once, keyed by its lower endpoint as `edge_weight`
     keys it, in one `prng.exponential_array` call (numpy's log where
-    `edge_weight` takes math.log), and written to both endpoints through a
-    strided view: along dim d the table splits into blocks of 2^d rows with
-    bit d clear, each followed by its 2^d partners with bit d set.
+    `edge_weight` takes math.log), and one gather through `_csr_layout`'s
+    `slots` writes each draw to both endpoints.  The table is written into
+    `out`, a C-contiguous float64 array of shape (2^n, n), when given (the
+    CSR engine passes its graph's weights), and allocated otherwise.
     """
     n = instance.n
-    low, dims = _csr_layout(n)[2:]
-    weights = prng.exponential_array(instance.seed, low, dims)
-    table = np.empty((instance.num_vertices, n))
-    for d, drawn in enumerate(weights.reshape(n, -1)):
-        table.reshape(-1, 2, 1 << d, n)[..., d] = drawn.reshape(-1, 1, 1 << d)
-    return table
+    low, dims, slots = _csr_layout(n)[2:]
+    drawn = prng.exponential_array(instance.seed, low, dims)
+    table = np.empty((instance.num_vertices, n)) if out is None else out
+    return np.take(drawn, slots, out=table, mode="clip")  # "raise" would gather through a buffer
 
 
 @dataclass(frozen=True)
@@ -162,14 +163,16 @@ class PolymerPath:
 
 
 @lru_cache(maxsize=None)
-def _csr_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The hypercube's CSR adjacency and the prng keys of its edges: `cols`, `indptr`, `low`, `dims`.
+def _csr_layout(n: int) -> tuple[np.ndarray, ...]:
+    """The hypercube's CSR adjacency and its edges' prng keys: `cols`, `indptr`, `low`, `dims` and `slots`.
 
     `cols`, shape (2^n, n), holds each vertex's neighbours.  `low` and
     `dims`, 1-D and 2^(n-1) * n long, key each edge once by its lower
-    endpoint and its dimension, in the order `weight_table` writes the
-    weights: for each dim d, the vertices with bit d clear, increasing.
-    One entry per n, read-only because every trial, on any thread, shares it.
+    endpoint and its dimension, in the order they are drawn: for each dim
+    d, the vertices with bit d clear, increasing.  `slots`, shape (2^n, n)
+    like `cols`, holds the index among those draws of the edge at each
+    table entry, so each edge's index appears at both its endpoints.  One
+    entry per n, read-only because every trial, on any thread, shares it.
     """
     size = 1 << n
     cols = np.arange(size, dtype=np.int32)[:, None] ^ (np.int32(1) << np.arange(n, dtype=np.int32))
@@ -177,9 +180,13 @@ def _csr_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     half = np.arange(size >> 1, dtype=np.int64)
     low = np.concatenate([((half >> d) << (d + 1)) | (half & ((1 << d) - 1)) for d in range(n)])
     dims = np.repeat(np.arange(n, dtype=np.uint64), size >> 1)
-    for array in (cols, indptr, low, dims):
+    # vertex v's edge along d is draw d * 2^(n-1) + (v with bit d deleted)
+    vertex = np.arange(size, dtype=np.intp)
+    below = [(1 << d) - 1 for d in range(n)]
+    slots = np.stack([(d << (n - 1)) | ((vertex >> 1) & ~below[d]) | (vertex & below[d]) for d in range(n)], axis=1)
+    for array in (cols, indptr, low, dims, slots):
         array.flags.writeable = False
-    return cols, indptr, low, dims
+    return cols, indptr, low, dims, slots
 
 
 # Radius of the first CSR search, set by measurement: the balls meet near
@@ -200,34 +207,64 @@ _CSR_START_RADIUS = 0.6
 _CSR_GROWTH = 1.3
 
 
+class _CsrWorkspace:
+    """One thread's CSR graph for dimension n, whose weights every search at that n overwrites.
+
+    `graph.data` is `table`, the (2^n, n) weight table, over the shared
+    `cols` and `indptr` of `_csr_layout`, so a search fills it with one
+    `weight_table` gather and builds no graph.  About 1.75 MiB at n = 14.
+    """
+
+    def __init__(self, n: int):
+        from scipy.sparse import csr_matrix
+
+        size = 1 << n
+        cols, indptr = _csr_layout(n)[:2]
+        self.n = n
+        self.table = np.empty((size, n))
+        self.graph = csr_matrix((self.table.reshape(-1), cols.reshape(-1), indptr), shape=(size, size))
+
+
+_workspaces = threading.local()
+
+
+def _csr_workspace(n: int) -> _CsrWorkspace:
+    """The calling thread's workspace, rebuilt when n differs from its last search's."""
+    space = getattr(_workspaces, "space", None)
+    if space is None or space.n != n:
+        space = _workspaces.space = _CsrWorkspace(n)
+    return space
+
+
 def _csr_search(instance: HypercubeInstance) -> PolymerPath:
     """Bounded compiled Dijkstra from both corners over the materialized (2^n, n) weight table.
 
-    Each call labels the vertices within `radius` of 0 and of the target
-    (scipy's `limit` is inclusive) and finds the cheapest walk through one
-    edge between the labelled sets, `upper`, scanning only the rows
-    labelled from 0: every other row's walks cost inf, and the kept rows
-    stay in increasing order, so argmin picks the edge a scan of the whole
-    table would.  Once upper <= 2 * radius,
+    The table is the weights of the calling thread's reused graph (see
+    `_CsrWorkspace`), refilled by `weight_table`.  Each call labels the
+    vertices within `radius` of 0 and of the target (scipy's `limit` is
+    inclusive) and finds the cheapest walk through one edge between the
+    labelled sets, `upper`, scanning only the rows labelled from 0: every
+    other row's walks cost inf, and the kept rows stay in increasing order,
+    so argmin picks the edge a scan of the whole table would.  Once
+    upper <= 2 * radius,
     upper = m_n: on the optimal path, the last vertex u with d_0(u) <= m_n / 2
     is labelled from 0 and its successor v, with d_1(v) < m_n / 2, from the
     target.  Otherwise the radius becomes upper / 2, or grows by
     _CSR_GROWTH while no walk was found, and the search runs again.
     """
-    # scipy is imported here, not at module level: only this engine uses it,
-    # and its sparse-graph modules double the start-up time and peak memory
-    # of every command that never searches n <= CSR_MAX_DIMENSION.
-    from scipy.sparse import csr_matrix
+    # scipy is imported here and in _CsrWorkspace, not at module level: only
+    # this engine uses it, and its sparse-graph modules double the start-up
+    # time and peak memory of every command that never searches
+    # n <= CSR_MAX_DIMENSION.
     from scipy.sparse.csgraph import dijkstra
 
     n = instance.n
-    size = instance.num_vertices
-    table = weight_table(instance)
-    cols, indptr = _csr_layout(n)[:2]
-    graph = csr_matrix((table.ravel(), cols.ravel(), indptr), shape=(size, size))
+    space = _csr_workspace(n)
+    table = weight_table(instance, out=space.table)
+    cols = _csr_layout(n)[0]
     radius = _CSR_START_RADIUS
     while True:
-        dist, pred = dijkstra(graph, indices=[0, instance.target], limit=radius, return_predecessors=True)
+        dist, pred = dijkstra(space.graph, indices=[0, instance.target], limit=radius, return_predecessors=True)
         rows = np.flatnonzero(np.isfinite(dist[0]))  # labelled from 0, increasing
         walks = dist[1][cols[rows]]
         walks += table[rows]
@@ -508,8 +545,9 @@ def ground_state(instance: HypercubeInstance) -> PolymerPath:
     corners, with radii summing to m_n ~ 0.9.  Up to CSR_MAX_DIMENSION,
     bounded compiled sparse Dijkstra from both corners over the full weight
     table is fastest: its per-trial cost is small and most of it runs in
-    compiled code, but drawing the table's 2^(n-1) * n edges costs time and
-    memory in 2^n, and from n = 12 on it takes half a search or more.
+    compiled code, but filling the table, one draw per edge and one gather
+    into the weights of the thread's reused CSR graph, costs time and memory
+    in 2^n, and from n = 12 on it takes half a search or more.
     Above it, the ball search grows the smaller ball per phase and relaxes
     a whole frontier of it per numpy round with weights drawn on demand, so
     its time and memory scale with the balls, not with 2^n.  Both engines
@@ -662,9 +700,15 @@ def run_trials(
 ) -> tuple[list[TrialRecord], AggregateSummary]:
     """Independent trials with seeds base_seed + t; output is schedule-independent.
 
-    Trials share no mutable state, so any parallelism degree produces the
-    same records; aggregation consumes them in trial order.  They run on
-    min(parallelism, trials, cores) threads.
+    A trial's result depends on its seed alone, so any parallelism degree
+    produces the same records; aggregation consumes them in trial order.
+    Above CSR_MAX_DIMENSION they run on min(parallelism, trials, cores)
+    threads.  Up to it they run on the calling thread whatever
+    `parallelism` is: scipy's `dijkstra` and the per-trial Python code hold
+    the interpreter lock for most of a CSR trial, so a second thread slowed
+    `run_trials(12, 200)` down (only at n = 14 are the draws long enough to
+    overlap on two threads), and one thread reuses one CSR workspace for
+    every trial.
     """
     _require_dimension(n)
     if trials < 1:
@@ -672,7 +716,7 @@ def run_trials(
     if parallelism < 1:
         raise UsageError(f"parallelism must be positive, got {parallelism}")
     prng.require_seeds(base_seed, trials)
-    workers = min(parallelism, trials, os.cpu_count() or 1)
+    workers = 1 if n <= CSR_MAX_DIMENSION else min(parallelism, trials, os.cpu_count() or 1)
     if workers == 1:  # a 1-worker pool raised peak RSS by 6-7 MiB in 8 s runs of simulate --n 20
         records = [run_trial(n, base_seed + t, t) for t in range(trials)]
     else:

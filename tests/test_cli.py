@@ -279,9 +279,10 @@ class TestSimulate:
         assert code == 0
         assert peak_mib < 1.5 * 79
 
-    def test_first_scipy_import_races_on_two_threads(self, capsys):
-        # n = 12 runs the CSR engine, which imports scipy on its first call, so
-        # in a new interpreter both worker threads race for that import
+    def test_two_threads_asked_in_a_fresh_process(self, capsys):
+        # n = 12 runs the CSR engine, which imports scipy on its first call;
+        # whatever --parallelism asks, its trials and that import run on the
+        # calling thread of a new interpreter
         argv = ("simulate", "--n", "12", "--trials", "8", "--seed", "5")
         code, out, _ = run_fresh_process(*argv, "--parallelism", "2")
         assert code == 0

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -64,6 +66,29 @@ class TestEdgeWeight:
         simulator.weight_table(HypercubeInstance(n=n, seed=3))
         edges = (1 << (n - 1)) * n
         assert calls == [((edges,), (edges,))]  # one call, 1-D keys and dims
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_gather_writes_the_strided_scatter_table(self, n):
+        inst = HypercubeInstance(n=n, seed=1000 + n)
+        low, dims = simulator._csr_layout(n)[2:4]
+        drawn = simulator.prng.exponential_array(inst.seed, low, dims)
+        scattered = np.empty((1 << n, n))  # the table as written before the gather, dim by dim
+        for d, weights in enumerate(drawn.reshape(n, -1)):
+            scattered.reshape(-1, 2, 1 << d, n)[..., d] = weights.reshape(-1, 1, 1 << d)
+        allocated = simulator.weight_table(inst)
+        out = np.full((1 << n, n), np.nan)
+        assert simulator.weight_table(inst, out=out) is out
+        for table in (allocated, out):
+            assert np.array_equal(table.view(np.uint64), scattered.view(np.uint64))  # bit for bit
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 13))
+    def test_slots_give_each_drawn_edge_both_endpoints(self, n):
+        _, _, low, dims, slots = simulator._csr_layout(n)
+        assert slots.dtype == np.intp and slots.shape == (1 << n, n)
+        assert np.array_equal(np.bincount(slots.ravel(), minlength=len(low)), np.full(len(low), 2))
+        vertex, dim = np.arange(1 << n)[:, None], np.arange(n)
+        assert np.array_equal(low[slots], vertex & ~(1 << dim))  # the lower endpoint of edge (v, d)
+        assert np.array_equal(dims[slots], np.broadcast_to(dim, slots.shape))
 
     def test_array_second_keys_match_scalar(self):
         dims = np.arange(26, dtype=np.uint64)
@@ -242,11 +267,12 @@ class TestGroundState:
             assert any(limit not in grown for limit in limits)  # and one that found a walk took half its cost
 
     def test_csr_layout_is_shared_and_read_only(self):
-        cols, indptr, low, dims = simulator._csr_layout(5)
+        cols, indptr, low, dims, slots = simulator._csr_layout(5)
         assert simulator._csr_layout(5)[0] is cols
         assert cols.shape == (32, 5) and cols[0b10110, 3] == 0b11110
         assert low[3 * 16 + 5] == 0b00101 and low[3 * 16 + 9] == 0b10001 and dims[3 * 16] == 3
-        for array in (cols, indptr, low, dims):
+        assert slots[0b10110, 3] == slots[0b11110, 3] == 3 * 16 + 0b1110
+        for array in (cols, indptr, low, dims, slots):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -422,6 +448,44 @@ class TestBallSearchPhases:
         assert looked_up <= held / 4, (looked_up, held)
 
 
+def _fresh_records(n: int, trials: int, base_seed: int) -> list:
+    """Each trial's record from a fresh instance's ground state, searched in reverse seed order."""
+    records = []
+    for t in reversed(range(trials)):
+        inst = HypercubeInstance(n=n, seed=base_seed + t)
+        records.append(simulator.path_statistics(inst, simulator.ground_state(inst), t))
+    return records[::-1]
+
+
+class TestCsrWorkspace:
+    @pytest.mark.parametrize("sizes", [(12,), (13,), (12, 13, 12)], ids=["12", "13", "12-13-12"])
+    def test_trials_equal_fresh_searches(self, sizes):
+        for n in sizes:  # one thread: each n rebuilds the workspace the previous n left
+            records, _ = simulator.run_trials(n, 5, base_seed=40 + n)
+            assert repr(records) == repr(_fresh_records(n, 5, 40 + n)), n
+
+    def test_threads_searching_at_once_keep_their_own_tables(self):
+        cases = [(10, seed) for seed in range(16)]  # one n, so a shared table would be overwritten
+        expected = [simulator.ground_state(HypercubeInstance(n=n, seed=seed)).vertices for n, seed in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between the fill and the search
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda case: simulator.ground_state(HypercubeInstance(*case)).vertices, cases * 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 4
+
+    def test_graph_weights_are_the_table_and_each_thread_has_its_own(self):
+        space = simulator._csr_workspace(5)
+        assert simulator._csr_workspace(5) is space
+        assert np.shares_memory(space.graph.data, space.table) and space.graph.data.size == space.table.size
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(simulator._csr_workspace, 5).result() is not space
+        assert simulator._csr_workspace(6).n == 6
+        assert simulator._csr_workspace(5) is not space  # rebuilt for the new n
+
+
 class TestBruteForceGroundState:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -533,9 +597,9 @@ class TestRunTrials:
 
     def test_parallelism_does_not_change_output(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the same thread counts on any host
-        for n, trials, parallelism in ((8, 8, 4), (12, 6, 2)):
+        for n, trials, parallelism in ((8, 8, 4), (12, 6, 2), (15, 4, 2)):
             serial_records, serial_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=1)
-            simulator._csr_layout.cache_clear()  # the threads race to build the layout they share
+            simulator._relax_layout.cache_clear()  # the ball search's threads race to build the layout they share
             parallel_records, parallel_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=parallelism)
             # repr-level comparison: nan-valued empty bins defeat == on floats
             assert repr(serial_records) == repr(parallel_records), n
@@ -554,19 +618,27 @@ class TestRunTrials:
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
         return asked
 
+    # threads run trials only above CSR_MAX_DIMENSION, so the pool tests run n = 15
     def test_pool_never_outnumbers_trials(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        pooled = simulator.run_trials(4, 3, 0, parallelism=64)
+        pooled = simulator.run_trials(15, 3, 0, parallelism=64)
         assert pool_sizes == [3]
-        assert repr(pooled) == repr(simulator.run_trials(4, 3, 0, parallelism=1))
+        assert repr(pooled) == repr(simulator.run_trials(15, 3, 0, parallelism=1))
 
     @pytest.mark.parametrize("cores, threads", [(2, [2]), (1, []), (None, [])])
     def test_pool_never_outnumbers_cores(self, monkeypatch, pool_sizes, cores, threads):
         # pool.map submits every trial at once, so an uncapped pool could start one thread per trial
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        pooled = simulator.run_trials(4, 6, 0, parallelism=1000)
+        pooled = simulator.run_trials(15, 6, 0, parallelism=1000)
         assert pool_sizes == threads
-        assert repr(pooled) == repr(simulator.run_trials(4, 6, 0, parallelism=1))
+        assert repr(pooled) == repr(simulator.run_trials(15, 6, 0, parallelism=1))
+
+    @pytest.mark.parametrize("n", (4, simulator.CSR_MAX_DIMENSION))
+    def test_csr_dimensions_start_no_pool(self, monkeypatch, pool_sizes, n):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        pooled = simulator.run_trials(n, 4, 0, parallelism=4)
+        assert pool_sizes == []
+        assert repr(pooled) == repr(simulator.run_trials(n, 4, 0, parallelism=1))
 
     @pytest.mark.parametrize(
         "n, base_seed",
