@@ -72,19 +72,41 @@ def coarse_graining(ks: Sequence[int]) -> tuple[bool, str]:
     return True, f"all invariants hold for K in {ks[:5]}..{ks[-1]}"
 
 
+def _slab_factor(j: int, x: float, cg: geometry.CoarseGraining) -> float:
+    """g_factor, read as 0 where depth x is infeasible for slab j, as f_function reads it."""
+    try:
+        return geometry.g_factor(j, x, cg)
+    except geometry.GeometryDomainError:
+        return 0.0
+
+
+def _one_slab_perturbations(cg: geometry.CoarseGraining) -> tuple[float, list[tuple[int, float, float]]]:
+    """f at the solved depths, and (slab j, delta, f) for each depth vector moved by delta = +-0.01 in slab j alone.
+
+    g_factor is evaluated once per slab at cg.d and once more for each moved
+    slab.  Each f multiplies its factors left to right, as f_function does, so
+    it has f_function's bits: a product holding an infeasible slab's 0 is 0.
+    """
+    factors = [_slab_factor(j, x, cg) for j, x in enumerate(cg.d, start=1)]
+    perturbed = []
+    for j, x in enumerate(cg.d, start=1):
+        for delta in (0.01, -0.01):
+            moved = factors.copy()
+            moved[j - 1] = _slab_factor(j, x + delta, cg)
+            perturbed.append((j, delta, math.prod(moved)))
+    return math.prod(factors), perturbed
+
+
 def product_criterion(ks: Sequence[int]) -> tuple[bool, str]:
     """f = 1 at the solved depths, < 1 after any one-slab perturbation, closed-form maximizers."""
     for k in ks:
         cg = geometry.solve_coarse_graining(k)
-        opt = geometry.f_function(cg, cg.d)
+        opt, perturbed = _one_slab_perturbations(cg)
         if not 1.0 - 1e-9 <= opt <= 1.0 + 1e-9:
             return False, f"f at optimum = {opt} for K={k}"
-        for j in range(k):
-            for delta in (0.01, -0.01):
-                dvec = list(cg.d)
-                dvec[j] += delta
-                if not geometry.f_function(cg, dvec) < 1.0:
-                    return False, f"perturbation not below 1 at K={k}, slab {j + 1}"
+        for j, _, f in perturbed:
+            if not f < 1.0:
+                return False, f"perturbation not below 1 at K={k}, slab {j}"
         for j in range(2, k):
             if abs(geometry.optimal_d_closed_form(j, cg) - cg.d[j - 1]) > 1e-10:
                 return False, f"closed form mismatch at K={k}, slab {j}"

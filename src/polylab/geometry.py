@@ -12,6 +12,7 @@ functions theta_hat, g1, g2 whose boundedness and convexity are checked on
 grids.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -232,8 +233,9 @@ def theta_hat_sup(grid_step: float, l_opt: float) -> float:
     """Maximum of theta_hat(., l_opt) over the grid 0, grid_step, ..., 1, for a step in (0, 1e-3]."""
     if not 0.0 < grid_step <= 1e-3:
         raise UsageError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
-    n = int(round(1.0 / grid_step))
-    return max(theta_hat(min(i * grid_step, 1.0), l_opt) for i in range(n + 1))
+    # the multiples of the step below 1, then 1 itself, whether or not the step divides 1
+    below_one = itertools.takewhile(lambda x: x < 1.0, (i * grid_step for i in itertools.count()))
+    return max(theta_hat(x, l_opt) for x in itertools.chain(below_one, (1.0,)))
 
 
 def g1(x: float) -> float:

@@ -4,7 +4,8 @@ The generating function sum_l M(n,l,d) x^l / l! = sinh(x)^d cosh(x)^{n-d}
 expands to M(n, l, d) = 2^-n sum_i K_i (n - 2i)^l, where the Krawtchouk
 weights K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) depend on (n, d) alone.  Every
 walk count is that sum in exact integer arithmetic (it cancels
-catastrophically in floats): `stanley_count` for one cell, `walk_counts` for
+catastrophically in floats), with the terms i and n - i, whose bases differ
+only in sign, paired: `stanley_count` for one cell, `walk_counts` for
 l = 0, 1, 2, ... with the powers built incrementally.  A brute-force dynamic
 program cross-checks both.  The generating function drives everything else:
 truncation residuals, upper bounds on single counts, the normalized
@@ -51,6 +52,24 @@ def _eigen_weights(n: int, d: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
+@functools.lru_cache(maxsize=128)
+def _paired_weights(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Krawtchouk sum with term i paired with term n - i, whose bases are +-(n - 2i).
+
+    Entry i of the first tuple is K_i + K_{n-i}, the coefficient of
+    (n - 2i)^l for even l, and of the second K_i - K_{n-i}, for odd l, for
+    i = 0..n//2; the unpaired middle term of even n, with base 0, is K_{n/2}
+    for even l and 0 for odd l.  Since K_{n-i} = (-1)^d K_i, every
+    coefficient of the parity of d + 1 is 0, as the counts with l - d odd
+    are; the sums skip zero coefficients.  Cached per (n, d).
+    """
+    w = _eigen_weights(n, d)
+    half = (n + 1) // 2  # the pairs i < n - i
+    even = tuple(w[i] + w[n - i] for i in range(half)) + w[half : n - half + 1]
+    odd = tuple(w[i] - w[n - i] for i in range(half)) + (0,) * (n + 1 - 2 * half)
+    return even, odd
+
+
 def _divide_exact(total: int, n: int, l: int, d: int) -> int:
     """total / 2^n, which must be a nonnegative integer for a walk count."""
     count, rem = divmod(total, 1 << n)
@@ -69,21 +88,25 @@ def stanley_count(n: int, l: int, d: int) -> int:
     _require_distance(n, d)
     if l < 0:
         raise UsageError(f"walk length must be nonnegative, got l={l}")
-    total = sum(w * (n - 2 * i) ** l for i, w in enumerate(_eigen_weights(n, d)))
+    coefficients = _paired_weights(n, d)[l % 2]
+    total = sum(c * (n - 2 * i) ** l for i, c in enumerate(coefficients) if c)
     return _divide_exact(total, n, l, d)
 
 
 def walk_counts(n: int, d: int) -> Iterator[int]:
     """Yield M(n, l, d) for l = 0, 1, 2, ... without end.
 
-    Keeps the powers (n-2i)^l and multiplies them once per step, so the
-    first l_max + 1 counts cost O(n * l_max) big-int multiplications.
+    Keeps the powers (n-2i)^l for i <= n/2 and multiplies them once per
+    step, so the first l_max + 1 counts cost O(n * l_max) big-int
+    multiplications; each count multiplies only the nonzero paired
+    coefficients of its parity (`_paired_weights`) into them.
     """
-    weights = _eigen_weights(n, d)
-    bases = [n - 2 * i for i in range(n + 1)]
-    powers = [1] * (n + 1)
+    paired = _paired_weights(n, d)
+    bases = range(n, -1, -2)
+    powers = [1] * len(bases)
     for l in itertools.count():
-        yield _divide_exact(sum(w * p for w, p in zip(weights, powers)), n, l, d)
+        total = sum(c * p for c, p in zip(paired[l % 2], powers) if c)
+        yield _divide_exact(total, n, l, d)
         powers = [p * b for p, b in zip(powers, bases)]
 
 

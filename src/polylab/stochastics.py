@@ -256,49 +256,65 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-# Trials drawn at once: bounds what a call holds, one buffer of nine rows of
-# a block's length (2.25 MiB, see _McBlock), whatever the trial count.  Over
+# Trials drawn at once: bounds what a call holds, one buffer of eight rows of
+# a block's length (2.0 MiB, see _McBlock), whatever the trial count.  Over
 # the 132 overlap_grid cells at 3e5 trials, alternating in one process, 2^15
 # took 5% less time than 2^14 (median of 8 passes, 2-vCPU x86).  Best of 5
 # over 27 of the cells, two sessions: 782-788 ms at 2^12, 560-562 at 2^13,
 # 392-471 at 2^14, 361-434 at 2^15 and 401-429 at 2^16, with peak RSS 28.3,
 # 28.5, 29.1, 30.1 and 31.9 MiB; 2^16 was no faster and holds 1.8 MiB more.
+# Those figures were taken with the nine-row buffer of a prefix-sum cull.
 _MC_BLOCK = 1 << 15
+# Added to a culled trial's slot, so that it sorts after every live one: slots are below 2^40.
+_DEAD = 1 << 40
+
+
+def _survivor_slots(dead: np.ndarray, slots: np.ndarray, out: np.ndarray, kept: int) -> np.ndarray:
+    """The slots of the `kept` trials not flagged `dead`, in no set order: a view of out[:kept].
+
+    out[i] becomes slots[i], plus _DEAD where dead[i], and an in-place
+    selection moves the `kept` smallest to the front.  Nothing is allocated:
+    the flags are cast by assignment, and the arithmetic is int64 throughout,
+    since a mixed-dtype ufunc buffers its cast.
+    """
+    out[...] = dead
+    out *= _DEAD
+    out += slots
+    out.partition(kept - 1)
+    return out[:kept]
 
 
 class _McBlock:
     """The arrays that every block of one `overlap_probability_mc` call works in.
 
-    They are the rows of one buffer of nine rows of size + 1 words (2.25 MiB
+    They are the rows of one buffer of eight rows of size + 1 words (2.0 MiB
     at _MC_BLOCK), allocated once per call, so the block loop allocates no
     array.  One allocation, not several, keeps the pages from one call to
     the next.  glibc serves a process's first buffer by mmap, and freeing it
     raises its mmap threshold to the buffer's size and its trim threshold to
     twice that; later buffers then come from the heap, which keeps the freed
-    2.25 MiB below that trim threshold.  Eight separate arrays of at most a
+    buffer below that trim threshold.  Eight separate arrays of at most a
     quarter MiB raised the trim threshold only to about half a MiB, so the
     heap gave back their 2 MiB after every call and the next call faulted it
     in again: about 395 minor faults a 3e5-trial call, against none from the
     third call on (2-vCPU x86, glibc 2.36; heap sizes read with mallinfo2).
 
     The n trials still alive sit in slots 1, ..., n of the keys, trunk sums
-    and tail sums.  Culling numbers the survivors 1, ..., kept by a prefix
-    sum of their 0/1 flags, scatters each survivor's slot to its number in
-    `idx` (culled trials write slot 0 of it, never read) and gathers keys
-    and sums through `idx` into the front of a free row of the same kind,
-    which then takes the place of the one culled.  Their order does not
-    matter: each trial's sums come from its own keyed draws.
+    and tail sums.  Culling flags the dead trials in the bytes of the
+    kernel's scratch row, free between draws, selects the survivors' slots
+    into the front of `idx` (`_survivor_slots`) and gathers keys and sums
+    through them into the front of a free row of the same kind, which then
+    takes the place of the one culled.  Their order does not matter: each
+    trial's sums come from its own keyed draws, and a block counts its hits.
     """
 
     def __init__(self, size: int):
-        buffer = np.empty((9, size + 1), dtype=np.uint64)
+        buffer = np.empty((8, size + 1), dtype=np.uint64)
         self.offsets, self.keys, self.scratch = buffer[:3]
         self.trunk, self.tail, self.draw, self.spare = buffer[3:7].view(np.float64)
-        self.pos, self.idx = buffer[7:].view(np.int64)
+        self.idx = buffer[7].view(np.int64)
         self.offsets[...] = np.arange(size + 1, dtype=np.uint64)
         self.slots = self.offsets.view(np.int64)  # slot j holds j
-        # the first bytes of the idx row: each cull reads them into the flags before writing idx
-        self.alive = self.idx.view(bool)[: size + 1]
 
     def hits(self, spec: OverlapSpec, seed: int, start: int, count: int) -> int:
         """How many of the trials start, ..., start + count - 1 have both paths at most x.
@@ -328,19 +344,14 @@ class _McBlock:
             if not fresh:
                 sums[live] += drawn
             total = trunk[live] if in_trunk else np.add(trunk[live], tail[live], out=draw[live])
-            alive = np.less_equal(total, x, out=self.alive[live])
-            kept = int(np.count_nonzero(alive))
+            # the kernel's scratch, free between draws, holds the flags and then the keys
+            dead = np.greater(total, x, out=scratch.view(bool)[live])
+            kept = n - int(np.count_nonzero(dead))
             if kept == 0:
                 return 0
             if kept < n and component < last:
-                # the j-th survivor's slot goes to idx[j], every culled trial's to idx[0];
-                # the kernel's scratch, free between draws, holds the 0/1 flags and then the keys
-                flags = scratch[live].view(np.int64)
-                flags[...] = alive
-                pos = np.cumsum(flags, out=self.pos[live])
-                pos *= flags
-                idx[pos] = slots[live]
-                moved, survivors = slice(1, kept + 1), idx[1 : kept + 1]
+                survivors = _survivor_slots(dead, slots[live], idx[live], kept)
+                moved = slice(1, kept + 1)
                 # mode="clip" writes straight into `out`; the default buffers it
                 np.take(keys, survivors, out=scratch[moved], mode="clip")
                 np.take(trunk, survivors, out=spare[moved], mode="clip")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import polylab
-from polylab import geometry
+from polylab import checks, geometry
 from polylab.constants import E, L
 
 ALL_K = tuple(range(1, 65))
@@ -186,6 +186,19 @@ class TestFFunction:
         dvec[9] -= 0.02
         assert geometry.f_function(cg, dvec) < 1.0
 
+    @pytest.mark.parametrize("K", (2, 4, 8, 16, 32, 64))
+    def test_product_criterion_forms_f_bit_for_bit(self, K):
+        # the check reuses the factors at the solved depths; f_function evaluates every one
+        cg = geometry.solve_coarse_graining(K)
+        opt, perturbed = checks._one_slab_perturbations(cg)
+        assert opt.hex() == geometry.f_function(cg, cg.d).hex()
+        assert [(j, delta) for j, delta, _ in perturbed] == [(j, d) for j in range(1, K + 1) for d in (0.01, -0.01)]
+        for j, delta, f in perturbed:
+            dvec = list(cg.d)
+            dvec[j - 1] += delta
+            assert f.hex() == geometry.f_function(cg, dvec).hex(), (j, delta)
+        assert any(f == 0.0 for *_, f in perturbed)  # an infeasible boundary depth reads as 0
+
     @pytest.mark.parametrize("K", ALL_K)
     def test_optimum_is_evolution_product_bit_for_bit(self, K):
         # both multiply the same factors left to right, starting from 1
@@ -240,6 +253,11 @@ class TestThetaHat:
     def test_exponential_decay_bound(self):
         for x in grid(1e-4, 0.2, 1e-4):
             assert geometry.theta_hat(x, 1.25) <= math.exp(-x / 100.0)
+
+    @pytest.mark.parametrize("step", (3e-4, 7e-4, 1e-3, 1e-4))
+    def test_grid_sup_reaches_one(self, step):
+        # 3e-4 does not divide 1: a grid of round(1 / step) steps ended at 0.9999
+        assert geometry.theta_hat_sup(step, 1.25) == 1.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

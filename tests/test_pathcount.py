@@ -120,7 +120,28 @@ def _first_counts(n, d, count):
     return list(itertools.islice(pathcount.walk_counts(n, d), count))
 
 
+def _unpaired_counts(n, d, count):
+    """M(n, l, d) for l < count as the unpaired sum 2^-n sum_i K_i (n - 2i)^l, one term per i."""
+    weights = pathcount._eigen_weights(n, d)
+    bases = [n - 2 * i for i in range(n + 1)]
+    powers = [1] * (n + 1)
+    counts = []
+    for _ in range(count):
+        total, rem = divmod(sum(w * p for w, p in zip(weights, powers)), 1 << n)
+        assert rem == 0
+        counts.append(total)
+        powers = [p * b for p, b in zip(powers, bases)]
+    return counts
+
+
 class TestWalkCounts:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_paired_sum_equals_unpaired_sum(self, n):
+        for d in range(n + 1):
+            expected = _unpaired_counts(n, d, 3 * n + 3)
+            assert _first_counts(n, d, 3 * n + 3) == expected, (n, d)
+            assert [pathcount.stanley_count(n, l, d) for l in range(3 * n + 3)] == expected, (n, d)
+
     def test_oracle_equivalence_on_brute_force_range(self):
         for n in range(1, 7):
             for d in range(n + 1):

@@ -362,6 +362,61 @@ def _full_array_mc(spec: OverlapSpec, trials: int, seed: int) -> McEstimate:
 _BLOCK_TRIALS = (10**4, stochastics._MC_BLOCK, stochastics._MC_BLOCK + 1, 3 * stochastics._MC_BLOCK + 7)
 
 
+# the overlap_grid cells of the benchmark
+_GRID_CELLS = tuple(OverlapSpec(l, k, x) for l in range(1, 9) for k in range(l + 1) for x in (0.5, 1.0, 2.0))
+
+
+@pytest.fixture(scope="module")
+def grid_blocks():
+    """Every overlap_grid cell at 3e5 trials and seed 1000, ten blocks a cell, the last
+    one partial: the length of every kernel call, and (spec, trials, kernel calls, hits)
+    of every block."""
+    kernel, block_hits = prng.exponential_array, stochastics._McBlock.hits
+    lengths, blocks = [], []
+
+    def counting_kernel(seed, a, b, **buffers):
+        lengths.append(len(a))
+        return kernel(seed, a, b, **buffers)
+
+    def recording_hits(block, spec, seed, start, count):
+        calls = len(lengths)
+        hits = block_hits(block, spec, seed, start, count)
+        blocks.append((spec, count, len(lengths) - calls, hits))
+        return hits
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prng, "exponential_array", counting_kernel)
+        patch.setattr(stochastics._McBlock, "hits", recording_hits)
+        for spec in _GRID_CELLS:
+            stochastics.overlap_probability_mc(spec, 300_000, seed=1000)
+    return lengths, blocks
+
+
+_BLOCK_MASK = np.random.default_rng(0).random(stochastics._MC_BLOCK) < 0.5
+
+
+@pytest.mark.parametrize(
+    "dead",
+    (
+        [1, 0, 1, 1, 1, 1, 1],  # kept = 1
+        [1, 1, 1, 1, 1, 1, 0],
+        [0, 0, 0, 0, 0, 0, 1],  # kept = n - 1
+        [1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0],  # kept = n
+        [0, 1, 0, 1, 0, 1, 0],
+        _BLOCK_MASK,  # a block with about half its trials dead
+    ),
+)
+def test_survivor_slots_are_the_live_slots(dead):
+    dead = np.asarray(dead, dtype=bool)
+    n, kept = len(dead), int(np.count_nonzero(~dead))
+    out = np.full(n + 2, -1, dtype=np.int64)
+    survivors = stochastics._survivor_slots(dead, np.arange(1, n + 1), out[1 : n + 1], kept)
+    assert np.shares_memory(survivors, out) and len(survivors) == kept
+    assert np.array_equal(np.sort(survivors), np.flatnonzero(~dead) + 1)
+    assert out[0] == out[-1] == -1
+
+
 class TestOverlapProbabilityMc:
     def test_degenerate_full_overlap(self):
         est = stochastics.overlap_probability_mc(OverlapSpec(3, 3, 1.0), 10**6, seed=1)
@@ -460,30 +515,12 @@ class TestOverlapProbabilityMc:
             stochastics.overlap_probability_mc(spec, 300_000, seed).estimate for seed in range(1, 11)
         ]
 
-    def test_no_kernel_call_after_a_block_empties(self, monkeypatch):
-        # the overlap_grid cells at 3e5 trials: ten blocks a cell, the last one partial
-        kernel, block_hits = prng.exponential_array, stochastics._McBlock.hits
-        lengths, blocks = [], []
-
-        def counting_kernel(seed, a, b, **buffers):
-            lengths.append(len(a))
-            return kernel(seed, a, b, **buffers)
-
-        def recording_hits(block, spec, seed, start, count):
-            calls = len(lengths)
-            hits = block_hits(block, spec, seed, start, count)
-            blocks.append((spec, count, len(lengths) - calls, hits))
-            return hits
-
-        monkeypatch.setattr(prng, "exponential_array", counting_kernel)
-        monkeypatch.setattr(stochastics._McBlock, "hits", recording_hits)
-        cells = [OverlapSpec(l, k, x) for l in range(1, 9) for k in range(l + 1) for x in (0.5, 1.0, 2.0)]
-        for spec in cells:
-            stochastics.overlap_probability_mc(spec, 300_000, seed=1000)
+    def test_no_kernel_call_after_a_block_empties(self, grid_blocks):
+        lengths, blocks = grid_blocks
         assert min(lengths) > 0
         # cells where a block emptied before its last component and the last,
         # partial block still hit: stopping a block must not stop the call
-        per_cell = {spec: [b for b in blocks if b[0] == spec] for spec in cells}
+        per_cell = {spec: [b for b in blocks if b[0] == spec] for spec in _GRID_CELLS}
         resumed = [
             spec
             for spec, cell in per_cell.items()
@@ -492,9 +529,14 @@ class TestOverlapProbabilityMc:
             and cell[-1][3] > 0
         ]
         assert len(resumed) >= 3, resumed
-        monkeypatch.undo()
         for spec in resumed:
             assert stochastics.overlap_probability_mc(spec, 300_000, 1000) == _full_array_mc(spec, 300_000, 1000)
+
+    def test_grid_makes_the_pinned_kernel_calls_and_draws(self, grid_blocks):
+        # counted with the prefix-sum cull that the selection replaced: how
+        # survivors are found must not add or drop a draw
+        lengths, _ = grid_blocks
+        assert (len(lengths), sum(lengths)) == (9_349, 83_476_330)
 
     def test_rejects_few_trials(self):
         with pytest.raises(ValueError):
