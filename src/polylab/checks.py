@@ -72,27 +72,19 @@ def coarse_graining(ks: Sequence[int]) -> tuple[bool, str]:
     return True, f"all invariants hold for K in {ks[:5]}..{ks[-1]}"
 
 
-def _slab_factor(j: int, x: float, cg: geometry.CoarseGraining) -> float:
-    """g_factor, read as 0 where depth x is infeasible for slab j, as f_function reads it."""
-    try:
-        return geometry.g_factor(j, x, cg)
-    except geometry.GeometryDomainError:
-        return 0.0
-
-
 def _one_slab_perturbations(cg: geometry.CoarseGraining) -> tuple[float, list[tuple[int, float, float]]]:
     """f at the solved depths, and (slab j, delta, f) for each depth vector moved by delta = +-0.01 in slab j alone.
 
-    g_factor is evaluated once per slab at cg.d and once more for each moved
-    slab.  Each f multiplies its factors left to right, as f_function does, so
-    it has f_function's bits: a product holding an infeasible slab's 0 is 0.
+    `geometry.slab_factor` is evaluated once per slab at cg.d and once more
+    for each moved slab.  Each f is the left-to-right product of the factors
+    that f_function multiplies for its vector, so it has f_function's bits.
     """
-    factors = [_slab_factor(j, x, cg) for j, x in enumerate(cg.d, start=1)]
+    factors = [geometry.slab_factor(j, x, cg) for j, x in enumerate(cg.d, start=1)]
     perturbed = []
     for j, x in enumerate(cg.d, start=1):
         for delta in (0.01, -0.01):
             moved = factors.copy()
-            moved[j - 1] = _slab_factor(j, x + delta, cg)
+            moved[j - 1] = geometry.slab_factor(j, x + delta, cg)
             perturbed.append((j, delta, math.prod(moved)))
     return math.prod(factors), perturbed
 

@@ -129,6 +129,19 @@ def g_factor(j: int, x: float, cg: CoarseGraining) -> float:
     return num / den
 
 
+def slab_factor(j: int, x: float, cg: CoarseGraining) -> float:
+    """g_factor(j, x, cg), or 0 where depth x is infeasible for slab j.
+
+    Slab j is feasible for 1/K <= x <= min((2j-1)/K, 2 - (2j-1)/K), the
+    single point 1/K for the boundary slabs; a depth outside that range
+    means an empty path ensemble, so its factor is 0.
+    """
+    try:
+        return g_factor(j, x, cg)
+    except GeometryDomainError:
+        return 0.0
+
+
 def optimal_d_closed_form(j: int, cg: CoarseGraining) -> float:
     """Unique positive maximizer of g_factor(j, ., cg) for an interior slab.
 
@@ -157,7 +170,8 @@ def evolution_closed_form(cg: CoarseGraining, i: int) -> float:
 def evolution_product(cg: CoarseGraining, i: int) -> float:
     """prod_{j<=i} g_factor(j, d_j, cg); equals evolution_closed_form(cg, i).
 
-    At i = K the product telescopes to exactly 1.
+    At i = K the product telescopes to exactly 1.  A solved depth infeasible
+    for its slab is a solver fault, so it raises rather than reading as 0.
     """
     if not 1 <= i <= cg.K:
         raise UsageError(f"slab index must satisfy 1 <= i <= K, got {i}")
@@ -165,19 +179,15 @@ def evolution_product(cg: CoarseGraining, i: int) -> float:
 
 
 def f_function(cg: CoarseGraining, dvec) -> float:
-    """Product of per-slab factors at an arbitrary depth vector.
+    """Product of the slab factors at an arbitrary depth vector, left to right.
 
     Equals 1 at the solved depths cg.d and is strictly smaller at any other
-    vector.  Slab j is feasible for 1/K <= x <= min((2j-1)/K, 2 - (2j-1)/K),
-    the single point 1/K for the boundary slabs; a depth outside that range
-    means an empty path ensemble and a factor 0, so the product is 0.
+    vector; a depth infeasible for its slab makes its `slab_factor`, and so
+    the product, 0.
     """
     if len(dvec) != cg.K:
         raise UsageError(f"expected {cg.K} depths, got {len(dvec)}")
-    try:
-        return math.prod(g_factor(j, x, cg) for j, x in enumerate(dvec, start=1))
-    except GeometryDomainError:
-        return 0.0
+    return math.prod(slab_factor(j, x, cg) for j, x in enumerate(dvec, start=1))
 
 
 @dataclass(frozen=True)

@@ -39,20 +39,6 @@ def _require_distance(n: int, d: int) -> None:
 
 
 @functools.lru_cache(maxsize=128)
-def _eigen_weights(n: int, d: int) -> tuple[int, ...]:
-    """Krawtchouk weights K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) for i = 0..n, cached per (n, d).
-
-    Built by the three-term recurrence (i+1) K_{i+1} = (n-2d) K_i - (n-i+1) K_{i-1}
-    from K_0 = 1 and K_1 = n - 2d, whose divisions are exact: O(n) big-integer
-    operations where the binomial sums cost O(n d) products.
-    """
-    weights = [1, n - 2 * d]
-    for i in range(1, n):
-        weights.append(((n - 2 * d) * weights[i] - (n - i + 1) * weights[i - 1]) // (i + 1))
-    return tuple(weights)
-
-
-@functools.lru_cache(maxsize=128)
 def _paired_weights(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The Krawtchouk sum with term i paired with term n - i, whose bases are +-(n - 2i).
 
@@ -61,11 +47,16 @@ def _paired_weights(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     i = 0..n//2; the unpaired middle term of even n, with base 0, is K_{n/2}
     for even l and 0 for odd l.  Since K_{n-i} = (-1)^d K_i, every
     coefficient of the parity of d + 1 is 0, as the counts with l - d odd
-    are; the sums skip zero coefficients.  Cached per (n, d).
+    are; the sums skip zero coefficients.  The K_i come from the three-term
+    recurrence (i+1) K_{i+1} = (n-2d) K_i - (n-i+1) K_{i-1} from K_0 = 1 and
+    K_1 = n - 2d, whose divisions are exact: O(n) big-integer operations
+    where the binomial sums cost O(n d) products.  Cached per (n, d).
     """
-    w = _eigen_weights(n, d)
+    w = [1, n - 2 * d]
+    for i in range(1, n):
+        w.append(((n - 2 * d) * w[i] - (n - i + 1) * w[i - 1]) // (i + 1))
     half = (n + 1) // 2  # the pairs i < n - i
-    even = tuple(w[i] + w[n - i] for i in range(half)) + w[half : n - half + 1]
+    even = tuple(w[i] + w[n - i] for i in range(half)) + tuple(w[half : n - half + 1])
     odd = tuple(w[i] - w[n - i] for i in range(half)) + (0,) * (n + 1 - 2 * half)
     return even, odd
 
@@ -236,8 +227,8 @@ def solve_length_ratio(ratio: float) -> float:
 
     x / tanh(x) maps [0, inf) onto [1, inf) increasingly; ratio = 1 returns 0.
     """
-    if not ratio >= 1.0:
-        raise UsageError(f"ratio must be >= 1 (the range of x/tanh(x)), got {ratio}")
+    if not 1.0 <= ratio < math.inf:
+        raise UsageError(f"ratio must be finite and >= 1 (the range of x/tanh(x)), got {ratio}")
     if ratio == 1.0:
         return 0.0
     lo, hi = 1e-12, ratio + 1.0  # x/tanh(x) <= x + 1 makes the bracket valid

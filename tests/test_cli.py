@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -426,3 +427,25 @@ def test_import_loads_no_heavy_scipy_subpackage():
     # the guard is not vacuous: a search at n <= 14 does load it
     [after_search] = scipy_modules_loaded(["simulate", "--n", "12", "--trials", "1", "--seed", "0"])[1:]
     assert "scipy.sparse.csgraph" in after_search
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_block(heading, language):
+    """The first fenced `language` block after README's line `heading`."""
+    section = README.read_text().split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # `simulate --out trials.csv` writes here
+    commands = [shlex.split(line, comments=True) for line in readme_block("## CLI", "sh").splitlines()]
+    assert commands and all(argv[0] == "polylab" for argv in commands), commands
+    outputs = []
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        outputs.append(out)
+    assert json.loads(outputs[0]) == {"count": "2"}
+    exec(readme_block("## Library example", "python"), {})

@@ -85,16 +85,23 @@ class TestStanleyCount:
             assert count == math.factorial(d)  # only the directed orderings fit
 
 
+def _krawtchouk(n, d):
+    """K_i = sum_j (-1)^j C(d,j) C(n-d,i-j) for i = 0..n, the defining alternating sum of binomials."""
+    return [
+        sum((-1) ** j * math.comb(d, j) * math.comb(n - d, i - j) for j in range(min(d, i) + 1))
+        for i in range(n + 1)
+    ]
+
+
 class TestEigenWeights:
     def test_recurrence_equals_binomial_sums(self):
-        # the defining alternating sum of binomials is the oracle
+        # terms i and n - i pair for i < n - i; the middle term of even n stands alone, with base 0
         for n in range(1, 41):
             for d in range(n + 1):
-                expected = tuple(
-                    sum((-1) ** j * math.comb(d, j) * math.comb(n - d, i - j) for j in range(min(d, i) + 1))
-                    for i in range(n + 1)
-                )
-                assert pathcount._eigen_weights(n, d) == expected, (n, d)
+                k = _krawtchouk(n, d)
+                pairs = [(k[i] + k[n - i], k[i] - k[n - i]) if i < n - i else (k[i], 0) for i in range(n // 2 + 1)]
+                even, odd = zip(*pairs)
+                assert pathcount._paired_weights(n, d) == (even, odd), (n, d)
 
 
 class TestBruteForceWalkCount:
@@ -122,7 +129,7 @@ def _first_counts(n, d, count):
 
 def _unpaired_counts(n, d, count):
     """M(n, l, d) for l < count as the unpaired sum 2^-n sum_i K_i (n - 2i)^l, one term per i."""
-    weights = pathcount._eigen_weights(n, d)
+    weights = _krawtchouk(n, d)
     bases = [n - 2 * i for i in range(n + 1)]
     powers = [1] * (n + 1)
     counts = []
@@ -261,8 +268,10 @@ class TestSolveLengthRatio:
         assert abs(x / math.tanh(x) - 2.0) < 1e-12
 
     def test_rejects_ratio_below_one(self):
-        with pytest.raises(ValueError):
-            pathcount.solve_length_ratio(0.99)
+        # nor is any non-finite ratio a value of x/tanh(x)
+        for ratio in (0.99, math.inf, math.nan):
+            with pytest.raises(polylab.UsageError):
+                pathcount.solve_length_ratio(ratio)
 
     @given(ratio=st.floats(min_value=1.0001, max_value=10.0))
     @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -10,7 +11,7 @@ import scipy.sparse.csgraph
 from hypothesis import given, settings, strategies as st
 
 import polylab
-from polylab import simulator
+from polylab import pathcount, simulator, stochastics
 from polylab.constants import E, L
 from polylab.simulator import HypercubeInstance, PolymerPath
 
@@ -668,11 +669,17 @@ class TestRunTrials:
             assert r.backstep_count == (r.length - 6) // 2
 
     def test_empirical_small_energy_fraction_bounded(self):
-        # tail bound: fraction of trials with m_n <= x is <~ 10 e^x sinh(x)^n
-        records, _ = simulator.run_trials(16, 50, base_seed=42)
-        for x in (0.55, 0.6, 0.65, 0.7):
+        # first moment: an optimal path uses no edge twice, so its energy is Erlang(l) for its
+        # length l, and P(m_n <= x) <= sum_l M(n,l,n) P(X_l <= x); the walks beyond l_max add
+        # at most identity_remainder_bound, as P(X_l <= x) <= x^l / l!; 3 binomial sigmas of slack
+        n, l_max = 16, 120
+        records, _ = simulator.run_trials(n, 50, base_seed=42)
+        counts = list(itertools.islice(pathcount.walk_counts(n, n), l_max + 1))
+        for x in (0.80, 0.85, 0.88):
+            terms = (m * stochastics.erlang_cdf(l, x) for l, m in enumerate(counts) if m)
+            bound = min(1.0, math.fsum(terms) + pathcount.identity_remainder_bound(n, x, l_max))
             fraction = sum(1 for r in records if r.m_n <= x) / len(records)
-            assert fraction <= 10.0 * math.exp(x) * math.sinh(x) ** 16
+            assert fraction <= bound + 3.0 * math.sqrt(bound * (1.0 - bound) / len(records)), x
 
 
 class TestAggregateRecords:
