@@ -3,9 +3,10 @@
 Subcommands dispatch to the four engines and emit machine-readable JSON or
 CSV through one writer; `verify` runs the checks of `polylab.checks` and
 exits nonzero on any failure.  Exit codes: 0 success, 1 engine or
-verification failure, 2 usage error.  The handlers check no argument range
-themselves: each first calls the library function that owns its inputs'
-domain, whose `polylab.UsageError` exits 2 before any other work is done.
+verification failure or a stdout closed before the output was written, 2
+usage error.  The handlers check no argument range themselves: each first
+calls the library function that owns its inputs' domain, whose
+`polylab.UsageError` exits 2 before any other work is done.
 Identical arguments always produce byte-identical output.
 """
 
@@ -14,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 from . import UsageError, checks, geometry, pathcount, prng, simulator, stochastics
@@ -253,7 +255,12 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:  # the reader closed stdout: the rest of the output goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (ValueError, ArithmeticError, RuntimeError) as exc:

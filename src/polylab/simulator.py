@@ -40,12 +40,12 @@ MAX_DIMENSION = 26
 # host whose speed swings 1.5x, CSR vs ball search (ranges over 3 runs):
 #
 #   n    seeds   CSR         ball search
-#   11   0-99    0.40-0.40   1.94-2.15
-#   12   0-99    0.66-0.75   2.42-2.49
-#   13   0-99    1.23-1.25   2.91-3.04
-#   14   0-99    2.51-2.88   3.59-3.85   (CSR faster in 3 of 3 runs)
-#   15   0-23    6.78-7.14   4.43-4.78
-#   16   0-11    16.1-16.6   5.35-5.66
+#   11   0-99    0.33-0.39   1.74-1.81
+#   12   0-99    0.64-0.70   2.08-2.54
+#   13   0-99    1.20-1.23   2.72-3.03
+#   14   0-99    2.37-2.59   3.25-3.42   (CSR faster in 3 of 3 runs)
+#   15   0-23    5.84-6.11   4.01-4.45
+#   16   0-11    13.4-15.8   4.74-5.69
 #
 # The move from 13 to 14 rests on these per-search timings alone: no
 # benchmark workload runs n = 13-15.
@@ -317,12 +317,11 @@ def _joined(parts: list[tuple]) -> tuple:
 
 # Frontier vertices relaxed at once: bounds the temporaries of a round
 # (about a dozen arrays of block * n entries) whatever the frontier size.
-_RELAX_BLOCK = 1 << 13
-# A phase of a ball of k looks up staleness among the _WINDOW * k smallest
-# pending labels first.  Over n = 5-22 (seeds 0-4) that window held more
-# than k live labels in all but 4 of 1,148 phases, and the phases looked up
-# 0.46 of the labels they held at n = 5, 0.10 at n = 20 and 0.09 at n = 22.
-_WINDOW = 2
+# A phase admits twice as many labels as its ball holds, so late rounds
+# start from large frontiers: with 1 << 13, the peak RSS of one process
+# searching n = 20, seeds 0-11, was 44.8 MiB against 40.7 MiB here, and
+# 87.7 against 81.1 MiB at n = 26, seeds 0-2.
+_RELAX_BLOCK = 1 << 11
 
 
 @lru_cache(maxsize=None)
@@ -348,10 +347,9 @@ class _Ball:
     from the corner and `pred` the previous vertex, -1 at the corner.
     `radius` bounds every stored label.  `pending` lists (key, dist, pred)
     arrays of the labels found beyond the radius; a key may repeat.  A key
-    the ball has since labelled is stale, and may stay pending until a
-    phase's window of its smallest labels reaches it (see
-    `_BallSearch._grow`): the stored label is exact, so a stale one never
-    beats it, and `lower` rejects it if it joins.
+    the ball has since labelled is stale, and stays pending until a phase
+    takes it in (see `_BallSearch._grow`): the stored label is exact, so a
+    stale one never beats it, and `lower` rejects it when it joins.
     """
 
     def __init__(self, corner: int):
@@ -364,32 +362,6 @@ class _Ball:
     def pred_of(self, vertex: int) -> int:
         """The stored predecessor of a labelled vertex, -1 at the corner."""
         return self.pred[np.searchsorted(self.keys, vertex)]
-
-    def next_radius(self, keys: np.ndarray, dist: np.ndarray, live: np.ndarray, cap: float) -> float:
-        """The radius of the next phase, by the window rule of `_BallSearch._grow`, from the pending labels.
-
-        `live` flags the labels within `cap`; it is cleared at every stale
-        label looked up.
-        """
-        k = len(self.keys)
-        useful = live.nonzero()[0]
-        window = _WINDOW * k
-        while True:
-            near = useful
-            if window < len(useful):
-                near = useful[dist[useful].argpartition(window - 1)[:window]]
-            _, stale = _lookup(self.keys, keys[near])
-            live[near[stale]] = False
-            candidates = dist[near[~stale]]
-            if len(candidates) > k or window >= len(useful):
-                break
-            window *= 2
-        if len(candidates) > k:
-            candidates.partition(k - 1)
-            return float(candidates[k - 1])
-        if math.isfinite(cap) or not len(candidates):  # every useful label joins: go to the cap
-            return cap
-        return float(candidates.max())
 
     def lower(self, keys: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store each key's cheapest candidate label where it beats the stored one; return those keys and labels."""
@@ -425,8 +397,8 @@ class _BallSearch:
 
     `balls[0]` grows around 0 and `balls[1]` around the target.  They grow
     by Delta-stepping (Meyer & Sanders 2003).  A phase raises the radius of
-    the smaller ball (ball 0 on a tie) so that as many pending labels join
-    as the ball holds, then runs label-correcting rounds until no label
+    the smaller ball (ball 0 on a tie) so that twice as many pending labels
+    join as the ball holds, then runs label-correcting rounds until no label
     within its radius falls; the other ball stays as it is.  Every relaxed
     edge that reaches the other ball closes a corner-to-corner walk, and
     `upper` is the cheapest one seen.  Once radius_0 + radius_1 >= upper,
@@ -459,26 +431,28 @@ class _BallSearch:
         return self.upper - radius_1 <= radius_0 or self.upper - radius_0 <= radius_1
 
     def _grow(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """Start a phase: the smaller ball (ball 0 on a tie) takes as many live pending labels as it holds.
+        """Start a phase: the smaller ball (ball 0 on a tie) takes its 2k nearest pending labels, k its size.
 
         Returns the ball's side and the labels that joined it, the frontier
-        of the phase's first round.  With k the ball's size, the new radius
-        is the k-th smallest live pending label within the cap (the cap
-        itself, or the largest label if the cap is infinite, when k or fewer
-        are live).  Staleness is looked up only in a window of the smallest
-        labels within the cap: _WINDOW * k of them, doubled while it holds k
-        or fewer live ones, up to all of them.  Every label outside the
-        window is at least as far as every label in it, so the window's
-        k-th smallest live label is the list's.  Stale labels found in the
-        window are dropped; the rest stay pending unchecked, and one that
-        joins is rejected by `lower`.
+        of the phase's first round.  The new radius is the 2k-th smallest
+        pending label within the cap (the cap itself, or the largest label
+        if the cap is infinite, when 2k or fewer are within it).  Stale
+        labels count like any other: no key is looked up to set the radius,
+        and `lower` rejects a stale label that joins.
         """
         side = int(len(self.balls[1].keys) < len(self.balls[0].keys))
         ball = self.balls[side]
         cap = self.upper - self.balls[1 - side].radius
         keys, dist, pred = _joined(ball.pending)
         live = dist <= cap
-        ball.radius = ball.next_radius(keys, dist, live, cap)
+        near, rank = dist[live], 2 * len(ball.keys)
+        if len(near) > rank:
+            near.partition(rank - 1)
+            ball.radius = float(near[rank - 1])
+        elif math.isfinite(cap) or not len(near):  # every label within the cap joins: go to the cap
+            ball.radius = cap
+        else:
+            ball.radius = float(near.max())
         join = live & (dist <= ball.radius)
         live ^= join
         ball.pending = [(keys[live], dist[live], pred[live])]  # most labels stay: no index array needed

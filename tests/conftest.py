@@ -13,8 +13,14 @@ settings.register_profile("polylab", deadline=None, derandomize=True)
 settings.load_profile("polylab")
 
 
+def python_env():
+    """This process's environment, with this checkout's polylab first on PYTHONPATH."""
+    src = str(Path(polylab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def run_python(code, *argv):
     """`python -c code argv` in a new interpreter that imports this checkout's polylab."""
-    src = str(Path(polylab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=python_env(), capture_output=True, text=True, timeout=300
+    )

@@ -1,13 +1,15 @@
 import json
 import math
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from polylab import checks, cli, simulator
 
-from conftest import run_python
+from conftest import python_env, run_python
 
 
 def run_cli(capsys, *argv):
@@ -391,6 +393,23 @@ class TestVerify:
 
         monkeypatch.setattr(checks, "CHECKS", (checks.Check("crash", crash, (), ()),))
         assert run_cli(capsys, "verify", "--fast") == (1, "crash  FAIL  error: boom\noverall: FAIL\n", "")
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # unbuffered (-u), each line is written as it is printed, so the
+        # pipe closes while verify still has lines to print
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "polylab.cli", "verify", "--fast"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=python_env(),
+            text=True,
+        )
+        with proc:
+            assert proc.stdout.readline().startswith(checks.CHECKS[0].name)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=300) == 1
+        assert "Traceback" not in err, err
 
 
 def scipy_modules_loaded(*commands):

@@ -380,16 +380,16 @@ def _growing(search) -> tuple:
 def _whole_list_radius(search) -> float:
     """The radius the next `_grow` must set, from every pending label of the growing ball.
 
-    The oracle for the windowed stale check: it drops every stale label
-    (a key the ball has labelled) before taking the k-th smallest live one.
+    With k the ball's size, it is the 2k-th smallest label within the cap,
+    stale ones (keys the ball has labelled since) included.
     """
     ball, other = _growing(search)
     cap = search.upper - other.radius
-    k = len(ball.keys)
-    keys, dist = (np.concatenate(column) for column in list(zip(*ball.pending))[:2])
-    dist = np.sort(dist[~np.isin(keys, ball.keys) & (dist <= cap)])
-    if len(dist) > k:
-        return float(dist[k - 1])
+    rank = 2 * len(ball.keys)
+    dist = np.concatenate([dist for _, dist, _ in ball.pending])
+    dist = np.sort(dist[dist <= cap])
+    if len(dist) > rank:
+        return float(dist[rank - 1])
     if math.isfinite(cap) or not len(dist):
         return cap
     return float(dist.max())
@@ -398,55 +398,61 @@ def _whole_list_radius(search) -> float:
 class TestBallSearchPhases:
     @pytest.fixture
     def phases(self, monkeypatch):
-        """Every `_grow` as (oracle radius, radius set, labels pending at phase start, sizes of its stale lookups)."""
+        """Every `_grow` as (oracle radius, radius set, `_lookup` calls it made before its labels joined the ball)."""
         records = []
-        stale_lookups = None  # the running _grow's, until its labels join the ball
+        lookups = 0  # every _lookup call so far
+        joined_at = 0  # the count when `_Ball.lower` last started
         lookup, lower, grow = simulator._lookup, simulator._Ball.lower, simulator._BallSearch._grow
 
-        def recording_lookup(ids, keys):
-            if stale_lookups is not None:
-                stale_lookups.append(len(keys))
+        def counted_lookup(ids, keys):
+            nonlocal lookups
+            lookups += 1
             return lookup(ids, keys)
 
-        def joining_lower(ball, *labels):
-            nonlocal stale_lookups
-            stale_lookups = None
+        def counted_lower(ball, *labels):
+            nonlocal joined_at
+            joined_at = lookups
             return lower(ball, *labels)
 
-        def recorded_grow(search):
-            nonlocal stale_lookups
+        def recorded_grow(search):  # _grow ends in one `lower`, which joins its labels
             ball = _growing(search)[0]
             oracle = _whole_list_radius(search)
-            held = sum(len(keys) for keys, _, _ in ball.pending)
-            stale_lookups = lookups = []
+            started_at = lookups
             frontier = grow(search)
-            records.append((oracle, ball.radius, held, lookups))
+            records.append((oracle, ball.radius, joined_at - started_at))
             return frontier
 
-        monkeypatch.setattr(simulator, "_lookup", recording_lookup)
-        monkeypatch.setattr(simulator._Ball, "lower", joining_lower)
+        monkeypatch.setattr(simulator, "_lookup", counted_lookup)
+        monkeypatch.setattr(simulator._Ball, "lower", counted_lower)
         monkeypatch.setattr(simulator._BallSearch, "_grow", recorded_grow)
         return records
 
-    @pytest.mark.parametrize("window", [None, 1], ids=["default", "widening"])
-    def test_window_sets_the_whole_list_radius(self, monkeypatch, phases, window):
-        if window is not None:  # k labels never hold more than k live ones, so every window widens
-            monkeypatch.setattr(simulator, "_WINDOW", window)
+    def test_phase_radius_is_the_2kth_pending_label(self, phases):
         for n in range(5, 19):
             for seed in range(5):
                 simulator._ball_search(HypercubeInstance(n=n, seed=seed))
-        assert len(phases) > 700
-        for oracle, radius, _, _ in phases:
+        assert len(phases) > 400
+        for oracle, radius, _ in phases:
             assert radius == oracle
-        if window is not None:
-            assert any(len(lookups) > 1 for _, _, _, lookups in phases)
 
-    def test_stale_lookups_stay_cut(self, phases):
+    def test_grow_makes_no_lookup(self, phases):
         for seed in range(4):
             simulator._ball_search(HypercubeInstance(n=20, seed=seed))
-        looked_up = sum(sum(lookups) for _, _, _, lookups in phases)
-        held = sum(held for _, _, held, _ in phases)
-        assert looked_up <= held / 4, (looked_up, held)
+        assert phases
+        assert [lookups for _, _, lookups in phases] == [0] * len(phases)
+
+    def test_relax_block_bounds_every_round(self, monkeypatch):
+        sizes = []
+        relax = simulator._BallSearch._relax
+
+        def recorded_relax(search, side, frontier, frontier_dist):
+            sizes.append(len(frontier))
+            return relax(search, side, frontier, frontier_dist)
+
+        monkeypatch.setattr(simulator._BallSearch, "_relax", recorded_relax)
+        for seed in range(4):
+            simulator._ball_search(HypercubeInstance(n=20, seed=seed))
+        assert max(sizes) == simulator._RELAX_BLOCK  # reached, so the bound is tested
 
 
 def _fresh_records(n: int, trials: int, base_seed: int) -> list:
