@@ -40,12 +40,12 @@ MAX_DIMENSION = 26
 # host whose speed swings 1.5x, CSR vs ball search (ranges over 3 runs):
 #
 #   n    seeds   CSR         ball search
-#   11   0-99    0.33-0.39   1.74-1.81
-#   12   0-99    0.64-0.70   2.08-2.54
-#   13   0-99    1.20-1.23   2.72-3.03
-#   14   0-99    2.37-2.59   3.25-3.42   (CSR faster in 3 of 3 runs)
-#   15   0-23    5.84-6.11   4.01-4.45
-#   16   0-11    13.4-15.8   4.74-5.69
+#   11   0-99    0.31-0.33   1.45-1.47
+#   12   0-99    0.56-0.60   1.70-1.71
+#   13   0-99    1.03-1.09   2.06-2.10
+#   14   0-99    2.25-2.52   2.66-2.71   (CSR faster in 3 of 3 runs)
+#   15   0-23    4.99-5.40   3.15-3.37
+#   16   0-11    10.5-11.9   3.80-3.91
 #
 # The move from 13 to 14 rests on these per-search timings alone: no
 # benchmark workload runs n = 13-15.
@@ -322,6 +322,16 @@ def _joined(parts: list[tuple]) -> tuple:
 # searching n = 20, seeds 0-11, was 44.8 MiB against 40.7 MiB here, and
 # 87.7 against 81.1 MiB at n = 26, seeds 0-2.
 _RELAX_BLOCK = 1 << 11
+# Address bits of each ball's membership screen (see `_Ball`): 2^18 bools,
+# 256 KiB per ball, allocated per search.  Over seeds 0-3, `_relax` looked
+# up 1,339, 241 and 39 of the 862,720 edges it relaxed at n = 20 with 16,
+# 18 and 20 bits (604,660 unscreened), and 80k, 15k and 3.0k of 7.0M at
+# n = 24.  simulate_n20 ran at the same ops/s with all three (3 interleaved
+# 10 s runs each on a 2-vCPU x86 host, 62-73 against 54-58 unscreened), but
+# 20 bits raised its peak RSS by 1.9 MiB; n = 26 searches took 197-215 ms
+# with each, within the host's noise.  A screen reused per thread, cleared
+# per search, was not faster.
+_SCREEN_BITS = 18
 
 
 @lru_cache(maxsize=None)
@@ -350,14 +360,21 @@ class _Ball:
     the ball has since labelled is stale, and stays pending until a phase
     takes it in (see `_BallSearch._grow`): the stored label is exact, so a
     stale one never beats it, and `lower` rejects it when it joins.
+    `seen` screens lookups in `keys`: its entry at `key & mask` is set for
+    every stored key, so a clear entry proves a key absent, and a set one
+    means the key may be stored.  Keys are never removed, so no entry is
+    ever cleared.
     """
 
-    def __init__(self, corner: int):
+    def __init__(self, corner: int, n: int):
         self.keys = np.array([corner], dtype=np.int64)
         self.dist = np.zeros(1)
         self.pred = np.full(1, -1, dtype=np.int64)
         self.radius = 0.0
         self.pending = []
+        self.mask = (1 << min(n, _SCREEN_BITS)) - 1
+        self.seen = np.zeros(self.mask + 1, dtype=bool)
+        self.seen[corner & self.mask] = True
 
     def pred_of(self, vertex: int) -> int:
         """The stored predecessor of a labelled vertex, -1 at the corner."""
@@ -381,6 +398,7 @@ class _Ball:
             self.dist[pos[known]] = dist[known]
             self.pred[pos[known]] = pred[known]
         new = ~known
+        self.seen[keys[new] & self.mask] = True
         at = pos[new]
         at += np.arange(len(at))  # places after the merge
         old = np.ones(len(self.keys) + len(at), dtype=bool)
@@ -413,7 +431,7 @@ class _BallSearch:
         self.n = n
         self.seed = instance.seed
         self.bits, self.dim_cycle = _relax_layout(n)
-        self.balls = (_Ball(0), _Ball(instance.target))
+        self.balls = (_Ball(0, n), _Ball(instance.target, n))
         self.upper = math.inf
         self.meet = (-1, -1)  # the cheapest edge's endpoints, in ball 0 and in ball 1
 
@@ -471,10 +489,12 @@ class _BallSearch:
         """Relax the n edges at each vertex of the ball's sorted frontier; return the labels within its radius.
 
         Records the walks that reach the other ball in `upper` and keeps the
-        labels beyond the radius pending.  Once `upper` is finite, only the
-        edges with dist < upper are looked up in the other ball: a longer
-        one closes no cheaper walk.  The cheapest walk is the first of its
-        cost among those edges, in frontier order, as among all of them.
+        labels beyond the radius pending.  Only the edges whose key passes
+        the other ball's `seen` screen, and once `upper` is finite whose
+        dist < upper, are looked up in it: the screen misses no stored key,
+        and a longer edge closes no cheaper walk.  Filtering keeps frontier
+        order, so the cheapest walk is the first of its cost among the
+        looked-up edges, as among all of them.
         """
         ball, other = self.balls[side], self.balls[1 - side]
         keys = (frontier[:, None] ^ self.bits).ravel()
@@ -482,12 +502,13 @@ class _BallSearch:
         dist = frontier_dist.repeat(self.n) + prng.exponential_array(
             self.seed, keys & pred, self.dim_cycle[: len(keys)]  # the lower endpoint is the edge's first prng key
         )
-        near_keys, near_dist, near_pred = keys, dist, pred
+        screen = other.seen.take(keys & other.mask)
         if math.isfinite(self.upper):
-            near_keys, near_dist, near_pred = _picked(dist < self.upper, keys, dist, pred)
-        pos, hit = _lookup(other.keys, near_keys)
-        total = np.where(hit, near_dist + other.dist.take(pos, mode="clip"), math.inf)
-        if len(total):
+            screen &= dist < self.upper
+        near_keys, near_dist, near_pred = _picked(screen, keys, dist, pred)
+        if len(near_keys):
+            pos, hit = _lookup(other.keys, near_keys)
+            total = np.where(hit, near_dist + other.dist.take(pos, mode="clip"), math.inf)
             i = int(total.argmin())
             if total[i] < self.upper:
                 self.upper = float(total[i])

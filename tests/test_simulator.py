@@ -455,6 +455,54 @@ class TestBallSearchPhases:
         assert max(sizes) == simulator._RELAX_BLOCK  # reached, so the bound is tested
 
 
+class TestBallScreen:
+    @pytest.mark.parametrize("n", [15, 18, 20, 22])
+    def test_screen_has_no_false_negative(self, n):
+        for seed in range(4):
+            search = simulator._BallSearch(HypercubeInstance(n=n, seed=seed))
+            search.vertices()
+            for ball in search.balls:
+                assert ball.seen[ball.keys & ball.mask].all()
+
+    def test_relax_looks_up_few_edges_and_finds_every_hit(self, monkeypatch):
+        relaxed = looked_up = hits = 0
+        in_relax = False
+        lookup, relax = simulator._lookup, simulator._BallSearch._relax
+
+        def counted_relax(search, side, frontier, frontier_dist):
+            nonlocal relaxed, in_relax
+            relaxed += len(frontier) * search.n
+            in_relax = True
+            try:
+                return relax(search, side, frontier, frontier_dist)
+            finally:
+                in_relax = False
+
+        def counted_lookup(ids, keys):  # in _relax, the one lookup is in the other ball
+            nonlocal looked_up, hits
+            slot, hit = lookup(ids, keys)
+            if in_relax:
+                looked_up += len(keys)
+                hits += int(hit.sum())
+            return slot, hit
+
+        monkeypatch.setattr(simulator, "_lookup", counted_lookup)
+        monkeypatch.setattr(simulator._BallSearch, "_relax", counted_relax)
+        for seed in range(4):
+            simulator._ball_search(HypercubeInstance(n=20, seed=seed))
+        assert relaxed == 862_720
+        assert hits == 39  # as without the screen, which looked up 604,660 edges
+        assert looked_up <= relaxed // 100
+
+    def test_screen_size_is_bounded(self):
+        for n in (15, 26):
+            search = simulator._BallSearch(HypercubeInstance(n=n, seed=0))
+            search.vertices()
+            for ball in search.balls:
+                assert ball.seen.nbytes == 1 << min(n, simulator._SCREEN_BITS)
+        assert 26 > simulator._SCREEN_BITS  # so n = 26 reaches the bound
+
+
 def _fresh_records(n: int, trials: int, base_seed: int) -> list:
     """Each trial's record from a fresh instance's ground state, searched in reverse seed order."""
     records = []
