@@ -3,8 +3,8 @@
 Every check returns (passed, detail) and stops at the first violation,
 naming it in the detail.  `CHECKS` lists them in the order `polylab verify`
 runs them, with the arguments of `verify --fast` and of the full battery;
-`tests/test_acceptance.py` runs every check in `CHECKS`, one row each, at its
-own pinned sizes, seeds and runtime budgets.  Sizes all three share are constants.
+`tests/test_acceptance.py` runs each check in `CHECKS` at the full battery's
+arguments unless it pins its own.  Sizes all three share are constants.
 """
 
 import itertools

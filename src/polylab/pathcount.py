@@ -172,7 +172,7 @@ def identity_remainder_bound(n: int, x: float, l_max: int) -> float:
     _require_distance(n, 0)
     nx = n * x
     if nx >= l_max + 2:
-        raise UsageError(f"l_max={l_max} too small for remainder bound at n*x={nx:.3f}")
+        raise UsageError(f"l_max={l_max} too small for remainder bound at n*x={nx:g}")
     log_head = (l_max + 1) * math.log(nx) - math.lgamma(l_max + 2)
     ratio = nx / (l_max + 2)
     return math.exp(log_head) / (1.0 - ratio)

@@ -35,12 +35,6 @@ _KEY_B_U64 = np.uint64(_KEY_B)
 _ROUNDS = ((np.uint64(30), np.uint64(_MIX_1)), (np.uint64(27), np.uint64(_MIX_2)), (np.uint64(31), None))
 _HALF_BITS = np.uint64(32)
 _LOW_HALF = np.uint64(0xFFFFFFFF)
-# Arrays shorter than this convert with numpy's own cast: one call against
-# six for the halves, and its scalar loop (about 4.5 ns a value on fresh
-# values) costs more only from about 1,000 values on.  An exponential_array
-# call with buffers took, cast against halves, 9.9 against 13.2 us at 32
-# draws, 21.3 against 20.9 at 1,024 and 121 against 68 at 8,192 (2-vCPU x86).
-_SPLIT_MIN = 1 << 10
 
 
 def require_seeds(seed: int, count: int = 1) -> None:
@@ -107,15 +101,12 @@ def mix64_array(
 def _float_in_place(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Replace the uint64 that u's bytes hold by its float64, rounded as astype(np.float64) rounds it.
 
-    numpy converts uint64 with a scalar loop.  From _SPLIT_MIN values on,
-    float(z >> 32) 2^32 and float(z & (2^32 - 1)) each convert exactly
-    from an int64 view, in place, and their sum is rounded once, so every
-    bit matches.  `scratch` is a uint64 array of u's length.
+    numpy converts uint64 with a scalar loop.  Instead float(z >> 32) 2^32
+    and float(z & (2^32 - 1)) each convert exactly from an int64 view, in
+    place, and their sum is rounded once, so every bit matches, at any
+    length.  `scratch` is a uint64 array of u's length.
     """
     z = u.view(np.uint64)
-    if len(u) < _SPLIT_MIN:
-        u[...] = z
-        return u
     np.right_shift(z, _HALF_BITS, out=scratch)
     z &= _LOW_HALF
     u[...] = z.view(np.int64)

@@ -334,22 +334,6 @@ _RELAX_BLOCK = 1 << 11
 _SCREEN_BITS = 18
 
 
-@lru_cache(maxsize=None)
-def _relax_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ball search's `bits`, 1 << d for each dim d, and `dim_cycle`, each edge's dimension in a relaxed block.
-
-    An edge's dimension is its second prng key; a block relaxes the n edges
-    of each frontier vertex in turn, so `dim_cycle` repeats 0..n-1 for up to
-    _RELAX_BLOCK vertices.  One pair per n, read-only because every search,
-    on any thread, shares it.
-    """
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    dim_cycle = np.tile(np.arange(n, dtype=np.uint64), min(_RELAX_BLOCK, 1 << n))
-    for array in (bits, dim_cycle):
-        array.flags.writeable = False
-    return bits, dim_cycle
-
-
 class _Ball:
     """The labelled vertices of the ball around one corner.
 
@@ -430,7 +414,9 @@ class _BallSearch:
         n = instance.n
         self.n = n
         self.seed = instance.seed
-        self.bits, self.dim_cycle = _relax_layout(n)
+        self.bits = np.int64(1) << np.arange(n, dtype=np.int64)
+        # each edge's dimension, its second prng key, in a block of frontier vertices
+        self.dim_cycle = np.tile(np.arange(n, dtype=np.uint64), min(_RELAX_BLOCK, 1 << n))
         self.balls = (_Ball(0, n), _Ball(instance.target, n))
         self.upper = math.inf
         self.meet = (-1, -1)  # the cheapest edge's endpoints, in ball 0 and in ball 1
@@ -490,11 +476,11 @@ class _BallSearch:
 
         Records the walks that reach the other ball in `upper` and keeps the
         labels beyond the radius pending.  Only the edges whose key passes
-        the other ball's `seen` screen, and once `upper` is finite whose
-        dist < upper, are looked up in it: the screen misses no stored key,
-        and a longer edge closes no cheaper walk.  Filtering keeps frontier
-        order, so the cheapest walk is the first of its cost among the
-        looked-up edges, as among all of them.
+        the other ball's `seen` screen and whose dist < upper are looked up
+        in it: the screen misses no stored key, and a longer edge closes no
+        cheaper walk.  Filtering keeps frontier order, so the cheapest walk
+        is the first of its cost among the looked-up edges, as among all of
+        them.
         """
         ball, other = self.balls[side], self.balls[1 - side]
         keys = (frontier[:, None] ^ self.bits).ravel()
@@ -503,8 +489,7 @@ class _BallSearch:
             self.seed, keys & pred, self.dim_cycle[: len(keys)]  # the lower endpoint is the edge's first prng key
         )
         screen = other.seen.take(keys & other.mask)
-        if math.isfinite(self.upper):
-            screen &= dist < self.upper
+        screen &= dist < self.upper
         near_keys, near_dist, near_pred = _picked(screen, keys, dist, pred)
         if len(near_keys):
             pos, hit = _lookup(other.keys, near_keys)

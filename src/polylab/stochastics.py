@@ -86,7 +86,8 @@ def log_erlang_cdf(l: int, x: float) -> float:
         return -math.inf
     if x < l:
         return (-x + l * math.log(x) - math.lgamma(l + 1)) + math.log1p(erlang_tail_ratio(l, x))
-    return math.log1p(-math.exp(_log_erlang_sf(l, x)))
+    tail = math.exp(_log_erlang_sf(l, x))
+    return math.log1p(-tail) if tail else 0.0  # an underflowed tail: log1p(-0.0) would be -0.0
 
 
 def erlang_cdf(l: int, x: float) -> float:
@@ -287,8 +288,8 @@ def _survivor_slots(dead: np.ndarray, slots: np.ndarray, out: np.ndarray, kept: 
 class _McBlock:
     """The arrays that every block of one `overlap_probability_mc` call works in.
 
-    They are the rows of one buffer of eight rows of size + 1 words (2.0 MiB
-    at _MC_BLOCK), allocated once per call, so the block loop allocates no
+    They are the rows of one buffer of eight rows of size words (2.0 MiB at
+    _MC_BLOCK), allocated once per call, so the block loop allocates no
     array.  One allocation, not several, keeps the pages from one call to
     the next.  glibc serves a process's first buffer by mmap, and freeing it
     raises its mmap threshold to the buffer's size and its trim threshold to
@@ -299,8 +300,8 @@ class _McBlock:
     in again: about 395 minor faults a 3e5-trial call, against none from the
     third call on (2-vCPU x86, glibc 2.36; heap sizes read with mallinfo2).
 
-    The n trials still alive sit in slots 1, ..., n of the keys, trunk sums
-    and tail sums.  Culling flags the dead trials in the bytes of the
+    The n trials still alive sit in slots 0, ..., n - 1 of the keys, trunk
+    sums and tail sums.  Culling flags the dead trials in the bytes of the
     kernel's scratch row, free between draws, selects the survivors' slots
     into the front of `idx` (`_survivor_slots`) and gathers keys and sums
     through them into the front of a free row of the same kind, which then
@@ -309,11 +310,11 @@ class _McBlock:
     """
 
     def __init__(self, size: int):
-        buffer = np.empty((8, size + 1), dtype=np.uint64)
+        buffer = np.empty((8, size), dtype=np.uint64)
         self.offsets, self.keys, self.scratch = buffer[:3]
         self.trunk, self.tail, self.draw, self.spare = buffer[3:7].view(np.float64)
         self.idx = buffer[7].view(np.int64)
-        self.offsets[...] = np.arange(size + 1, dtype=np.uint64)
+        self.offsets[...] = np.arange(size, dtype=np.uint64)
         self.slots = self.offsets.view(np.int64)  # slot j holds j
 
     def hits(self, spec: OverlapSpec, seed: int, start: int, count: int) -> int:
@@ -327,14 +328,14 @@ class _McBlock:
         keys, scratch, trunk, tail, draw, spare = self.keys, self.scratch, self.trunk, self.tail, self.draw, self.spare
         slots, idx = self.slots, self.idx
         n = count
-        np.add(self.offsets[:n], np.uint64(start), out=keys[1 : n + 1])
+        np.add(self.offsets[:n], np.uint64(start), out=keys[:n])
         if k == 0:
-            trunk[1 : n + 1] = 0.0
+            trunk[:n] = 0.0
         last = 2 * l - k - 1
         # components 0, ..., k - 1 are the shared trunk, then k, ..., l - 1 and
         # l, ..., last the two completions; 0, k and l each start a sum
         for component in range(last + 1):
-            live = slice(1, n + 1)
+            live = slice(n)
             in_trunk = component < k
             sums = trunk if in_trunk else tail
             fresh = component in (0, k, l)
@@ -351,13 +352,12 @@ class _McBlock:
                 return 0
             if kept < n and component < last:
                 survivors = _survivor_slots(dead, slots[live], idx[live], kept)
-                moved = slice(1, kept + 1)
                 # mode="clip" writes straight into `out`; the default buffers it
-                np.take(keys, survivors, out=scratch[moved], mode="clip")
-                np.take(trunk, survivors, out=spare[moved], mode="clip")
+                np.take(keys, survivors, out=scratch[:kept], mode="clip")
+                np.take(trunk, survivors, out=spare[:kept], mode="clip")
                 keys, scratch, trunk, spare = scratch, keys, spare, trunk
                 if not in_trunk:
-                    np.take(tail, survivors, out=draw[moved], mode="clip")
+                    np.take(tail, survivors, out=draw[:kept], mode="clip")
                     tail, draw = draw, tail
             n = kept
         return n

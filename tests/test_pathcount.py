@@ -208,6 +208,11 @@ class TestIdentityResidual:
         with pytest.raises(polylab.UsageError):
             pathcount.identity_residual(0, 0, 1.0, 60)
 
+    def test_remainder_bound_error_shows_n_x_briefly(self):
+        with pytest.raises(polylab.UsageError, match=r"at n\*x=1e\+308$") as err:
+            pathcount.identity_remainder_bound(1, 1e308, 60)
+        assert len(str(err.value)) < 80
+
     def test_remainder_bound_rejects_empty_dimension(self):
         with pytest.raises(polylab.UsageError):
             pathcount.identity_remainder_bound(0, 1.0, 60)

@@ -26,16 +26,20 @@ def _random_u64(count: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64, endpoint=False)
 
 
-# short arrays take numpy's cast, long ones the exact halves
+# every length takes the exact halves; the resized edges run from the top,
+# so that the one- and two-entry arrays hold the roundings at 2^64
+_SIZES = (1, 2, 1023, 1024, 1025)
+
+
 @pytest.mark.parametrize(
     "values",
     (
         np.array(_EDGES, dtype=np.uint64),
-        np.resize(np.array(_EDGES, dtype=np.uint64), prng._SPLIT_MIN),
+        *(np.resize(np.array(_EDGES[::-1], dtype=np.uint64), size) for size in _SIZES),
         _random_u64(100, 19),
         _random_u64(10**5, 20),
     ),
-    ids=("edges", "edges-split", "random-short", "random"),
+    ids=("edges", *(f"edges-{size}" for size in _SIZES), "random-short", "random"),
 )
 def test_float_conversion_matches_astype_and_python(values):
     z = values.copy()

@@ -294,6 +294,12 @@ class TestLogOverlapProbability:
         assert stochastics.log_overlap_probability(OverlapSpec(l, k, 1e308)) == 0.0
         assert stochastics.overlap_probability_exact(OverlapSpec(l, k, 1e308)) == 1.0
 
+    @pytest.mark.parametrize("l,k", [(1, 0), (2, 0), (1, 1), (2, 2), (3, 1)])
+    def test_saturated_log_is_positive_zero(self, l, k):
+        # P(X_l > 800) underflows to 0.0, so the probability rounds to 1
+        value = stochastics.log_overlap_probability(OverlapSpec(l, k, 800.0))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, (l, k)
+
     @pytest.mark.parametrize("l", [2, 12, 150, 600])
     def test_logs_finite_at_the_smallest_threshold(self, l):
         for k in range(l + 1):
