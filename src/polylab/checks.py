@@ -2,9 +2,10 @@
 
 Every check returns (passed, detail) and stops at the first violation,
 naming it in the detail.  `CHECKS` lists them in the order `polylab verify`
-runs them, with the arguments of `verify --fast` and of the full battery;
-`tests/test_acceptance.py` runs each check in `CHECKS` at the full battery's
-arguments unless it pins its own.  Sizes all three share are constants.
+runs them, with the arguments `verify` passes; `tests/test_acceptance.py`
+runs each check in `CHECKS` at those arguments unless it pins its own.  A
+size is an argument only where the two runs set it differently; the sizes
+they share are module constants.
 """
 
 import itertools
@@ -21,14 +22,14 @@ def constants() -> tuple[bool, str]:
     return worst <= 1e-12, f"max identity deviation {worst:.2e}"
 
 
-def stanley_oracle(n_max: int, l_max: int) -> tuple[bool, str]:
-    """Alternating-sign counts equal the brute-force DP on every small cell."""
-    for n in range(1, n_max + 1):
-        for l in range(l_max + 1):
+def stanley_oracle() -> tuple[bool, str]:
+    """Alternating-sign counts equal the brute-force DP on every cell up to _STANLEY_N_MAX and _STANLEY_L_MAX."""
+    for n in range(1, _STANLEY_N_MAX + 1):
+        for l in range(_STANLEY_L_MAX + 1):
             for d in range(n + 1):
                 if pathcount.stanley_count(n, l, d) != pathcount.brute_force_walk_count(n, l, d):
                     return False, f"mismatch at (n={n}, l={l}, d={d})"
-    return True, f"all cells equal up to n={n_max}, l={l_max}"
+    return True, f"all cells equal up to n={_STANLEY_N_MAX}, l={_STANLEY_L_MAX}"
 
 
 def identity_residuals(n_values: Sequence[int]) -> tuple[bool, str]:
@@ -44,8 +45,8 @@ def identity_residuals(n_values: Sequence[int]) -> tuple[bool, str]:
     return True, f"max residual {worst:.2e}"
 
 
-def m_bound(n_max: int) -> tuple[bool, str]:
-    for n in range(1, n_max + 1):
+def m_bound() -> tuple[bool, str]:
+    for n in range(1, _M_BOUND_N_MAX + 1):
         for l in range(0, 21, 4):
             for d in range(0, n + 1, max(1, n // 3)):
                 if l < d or (l - d) & 1:
@@ -57,19 +58,19 @@ def m_bound(n_max: int) -> tuple[bool, str]:
     return True, "count <= bound on the sampled grid"
 
 
-def length_ratio_inverse(steps: int) -> tuple[bool, str]:
+def length_ratio_inverse() -> tuple[bool, str]:
     worst = 0.0
-    for i in range(steps + 1):
-        ratio = 1.0001 + (10.0 - 1.0001) * i / steps
+    for i in range(_RATIO_STEPS + 1):
+        ratio = 1.0001 + (10.0 - 1.0001) * i / _RATIO_STEPS
         x = pathcount.solve_length_ratio(ratio)
         worst = max(worst, abs(x / math.tanh(x) - ratio))
     return worst <= 1e-11, f"max |x/tanh(x) - ratio| = {worst:.2e}"
 
 
-def coarse_graining(ks: Sequence[int]) -> tuple[bool, str]:
-    for k in ks:
+def coarse_graining() -> tuple[bool, str]:
+    for k in _ALL_K:
         geometry.solve_coarse_graining(k)  # raises on any invariant breach
-    return True, f"all invariants hold for K in {ks[:5]}..{ks[-1]}"
+    return True, f"all invariants hold for K in {_ALL_K[:5]}..{_ALL_K[-1]}"
 
 
 def _one_slab_perturbations(cg: geometry.CoarseGraining) -> tuple[float, list[tuple[int, float, float]]]:
@@ -89,9 +90,9 @@ def _one_slab_perturbations(cg: geometry.CoarseGraining) -> tuple[float, list[tu
     return math.prod(factors), perturbed
 
 
-def product_criterion(ks: Sequence[int]) -> tuple[bool, str]:
-    """f = 1 at the solved depths, < 1 after any one-slab perturbation, closed-form maximizers."""
-    for k in ks:
+def product_criterion() -> tuple[bool, str]:
+    """f = 1 at the solved depths, < 1 after any one-slab perturbation, closed-form maximizers, K in _PRODUCT_KS."""
+    for k in _PRODUCT_KS:
         cg = geometry.solve_coarse_graining(k)
         opt, perturbed = _one_slab_perturbations(cg)
         if not 1.0 - 1e-9 <= opt <= 1.0 + 1e-9:
@@ -102,13 +103,13 @@ def product_criterion(ks: Sequence[int]) -> tuple[bool, str]:
         for j in range(2, k):
             if abs(geometry.optimal_d_closed_form(j, cg) - cg.d[j - 1]) > 1e-10:
                 return False, f"closed form mismatch at K={k}, slab {j}"
-    return True, f"optimum at 1, perturbations below 1 for K in {ks}"
+    return True, f"optimum at 1, perturbations below 1 for K in {_PRODUCT_KS}"
 
 
-def partial_products(ks: Sequence[int]) -> tuple[bool, str]:
-    """Partial products match their closed form, and the full product is 1."""
+def partial_products() -> tuple[bool, str]:
+    """Partial products match their closed form, and the full product is 1, for every K in _ALL_K."""
     worst = 0.0
-    for k in ks:
+    for k in _ALL_K:
         cg = geometry.solve_coarse_graining(k)
         # left to right, as evolution_product multiplies
         factors = (geometry.g_factor(j, cg.d[j - 1], cg) for j in range(1, k + 1))
@@ -121,22 +122,22 @@ def partial_products(ks: Sequence[int]) -> tuple[bool, str]:
     return worst <= 1e-9, f"max partial-product deviation {worst:.2e}"
 
 
-def scalar_claims(grid_step: float) -> tuple[bool, str]:
-    """The five claims of `geometry.verify_scalar_claims`, g2(1) = 1 exactly among them."""
-    failed = [it.name for it in geometry.verify_scalar_claims(grid_step) if not it.passed]
+def scalar_claims() -> tuple[bool, str]:
+    """The five claims of `geometry.verify_scalar_claims` on a _SCALAR_GRID_STEP grid, g2(1) = 1 exactly among them."""
+    failed = [it.name for it in geometry.verify_scalar_claims(_SCALAR_GRID_STEP) if not it.passed]
     if failed:
         return False, f"failed: {failed}"
     return True, "all five items pass"
 
 
-def overlap_kernels(g_steps: int, l_step: int) -> tuple[bool, str]:
+def overlap_kernels(g_steps: int) -> tuple[bool, str]:
     """g <= 1 on a grid of [0, 1], the Erlang tail-ratio bound, the l = 2, k = 1 closed form,
     and, at path scale l = ceil(L n), k = l/4, l/2, 3l/4 and x = E for each n in _PATH_NS,
     a finite log kernel with 0 < exact/leading < 1."""
     for i in range(g_steps + 1):
         if stochastics.overlap_g(i / g_steps) > 1.0 + 1e-12:
             return False, f"g above 1 at gamma={i / g_steps}"
-    for l in range(1, 51, l_step):
+    for l in range(1, 51):
         for x in (0.1, 0.5, 1.0, E, 2.0, 5.0):
             if not 0.0 <= stochastics.erlang_tail_ratio(l, x) <= math.exp(x) * x / (l + 1):
                 return False, f"tail ratio bound violated at (l={l}, x={x})"
@@ -176,10 +177,11 @@ def overlap_mc(cells: Sequence[tuple[int, int, float, int]], trials: int) -> tup
     return True, f"MC within 4 se on {len(cells)} cells"
 
 
-def simulator_oracle(n_max: int, seeds: int) -> tuple[bool, str]:
-    """`ground_state` and the ball search equal the exhaustive oracle and return loopless paths."""
-    for n in range(1, n_max + 1):
-        for seed in range(seeds):
+def simulator_oracle() -> tuple[bool, str]:
+    """`ground_state` and the ball search equal the exhaustive oracle and return loopless paths,
+    for n <= _ORACLE_N_MAX over _ORACLE_SEEDS seeds."""
+    for n in range(1, _ORACLE_N_MAX + 1):
+        for seed in range(_ORACLE_SEEDS):
             inst = simulator.HypercubeInstance(n=n, seed=seed)
             m_brute = simulator.brute_force_ground_state(inst).energy
             for path in (simulator.ground_state(inst), simulator._ball_search(inst)):
@@ -187,15 +189,15 @@ def simulator_oracle(n_max: int, seeds: int) -> tuple[bool, str]:
                     return False, f"oracle mismatch at (n={n}, seed={seed})"
                 if not path.is_loopless():
                     return False, f"invalid path at (n={n}, seed={seed})"
-    return True, f"exact equality up to n={n_max} over {seeds} seeds"
+    return True, f"exact equality up to n={_ORACLE_N_MAX} over {_ORACLE_SEEDS} seeds"
 
 
-def directed_overlap(n_max: int) -> tuple[bool, str]:
-    for n in range(2, n_max + 1):
+def directed_overlap() -> tuple[bool, str]:
+    for n in range(2, _DIRECTED_N_MAX + 1):
         for k, f, _, ok_coarse, ok_refined in simulator.directed_overlap_envelopes(n):
             if not (ok_coarse and ok_refined):
                 return False, f"envelope violated at (n={n}, k={k}, F={f})"
-    return True, f"envelopes hold up to n={n_max}"
+    return True, f"envelopes hold up to n={_DIRECTED_N_MAX}"
 
 
 def convergence_trends(n_small: int, n_large: int) -> tuple[bool, str]:
@@ -273,33 +275,38 @@ def substrand_identities() -> tuple[bool, str]:
 class Check(NamedTuple):
     name: str
     run: Callable[..., tuple[bool, str]]
-    fast: tuple
-    full: tuple
+    args: tuple = ()
 
 
+_STANLEY_N_MAX, _STANLEY_L_MAX = 4, 8
+_M_BOUND_N_MAX = 10
+_RATIO_STEPS = 200
 _ALL_K = tuple(range(1, 65))
+_PRODUCT_KS = (2, 4, 8, 16, 32, 64)
+_SCALAR_GRID_STEP = 1e-4
+_ORACLE_N_MAX, _ORACLE_SEEDS = 4, 25
+_DIRECTED_N_MAX = 7
 _PATH_NS = (16, 64, 128, 200)
 _TREND_TRIALS, _TREND_SEED = 50, 42
 _CONCENTRATION_NS, _CONCENTRATION_EPS, _CONCENTRATION_A = (40, 80), 0.2, 2.5
 _SHIFT_CELLS = ((4, 2, 1.0, 0.5), (3, 3, 1.0, 1.0), (6, 1, 0.5, 0.1))
 _SUBSTRAND_KS = (4, 8, 16)
 CHECKS = (
-    Check("constants", constants, (), ()),
-    Check("stanley_oracle", stanley_oracle, (3, 6), (4, 8)),
-    Check("identity_residuals", identity_residuals, ((2, 4),), ((2, 4, 7, 10),)),
-    Check("m_bound", m_bound, (6,), (10,)),
-    Check("length_ratio_inverse", length_ratio_inverse, (20,), (200,)),
-    Check("coarse_graining", coarse_graining, ((1, 2, 4, 8, 16),), (_ALL_K,)),
-    Check("product_criterion", product_criterion, ((4, 8),), ((2, 4, 8, 16, 32, 64),)),
-    Check("partial_products", partial_products, ((4, 8),), (_ALL_K,)),
-    Check("scalar_claims", scalar_claims, (1e-3,), (1e-4,)),
-    Check("overlap_kernels", overlap_kernels, (100, 7), (100, 1)),
-    Check("overlap_mc", overlap_mc, (((3, 1, 1.0, 97), (4, 2, 1.0, 97)), 10**5),
-          (((3, 1, 1.0, 97), (4, 2, 1.0, 97), (6, 3, 1.5, 97), (5, 0, 1.0, 97)), 10**5)),
-    Check("simulator_oracle", simulator_oracle, (3, 5), (4, 25)),
-    Check("directed_overlap", directed_overlap, (6,), (7,)),
-    Check("convergence_trends", convergence_trends, (6, 10), (6, 10)),
-    Check("length_concentration", length_concentration, (), ()),
-    Check("shift_inequality", shift_inequality, (), ()),
-    Check("substrand_identities", substrand_identities, (), ()),
+    Check("constants", constants),
+    Check("stanley_oracle", stanley_oracle),
+    Check("identity_residuals", identity_residuals, ((2, 4, 7, 10),)),
+    Check("m_bound", m_bound),
+    Check("length_ratio_inverse", length_ratio_inverse),
+    Check("coarse_graining", coarse_graining),
+    Check("product_criterion", product_criterion),
+    Check("partial_products", partial_products),
+    Check("scalar_claims", scalar_claims),
+    Check("overlap_kernels", overlap_kernels, (100,)),
+    Check("overlap_mc", overlap_mc, (((3, 1, 1.0, 97), (4, 2, 1.0, 97), (6, 3, 1.5, 97), (5, 0, 1.0, 97)), 10**5)),
+    Check("simulator_oracle", simulator_oracle),
+    Check("directed_overlap", directed_overlap),
+    Check("convergence_trends", convergence_trends, (6, 10)),
+    Check("length_concentration", length_concentration),
+    Check("shift_inequality", shift_inequality),
+    Check("substrand_identities", substrand_identities),
 )

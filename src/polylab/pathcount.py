@@ -192,17 +192,22 @@ def identity_residual(n: int, d: int, x: float, l_max: int) -> IdentityResidual:
     The sum is the fsum of correctly rounded terms.  The target is rounded
     once from decimal arithmetic on e^x, with 40 digits to spare beyond those
     e^x - e^-x cancels: in floats, cosh(x) ** (n - d) multiplies the rounding
-    of cosh(x) by n - d (2.2e-13 relative at n = 5000, x = 1e-6).
+    of cosh(x) by n - d (2.2e-13 relative at n = 5000, x = 1e-6).  A target
+    above the float range is a `UsageError`, raised before the series, whose
+    partial sums would overflow too.
     """
     bound = identity_remainder_bound(n, x, l_max)
     _require_distance(n, d)
     if bound > 1e-12:
         raise UsageError(f"l_max={l_max} leaves a truncation remainder above 1e-12")
-    series = math.fsum(itertools.islice(_weighted_counts(n, d, x), l_max + 1))
     with decimal.localcontext() as ctx:
         ctx.prec = 40 + max(0, -decimal.Decimal(x).adjusted())
+        ctx.traps[decimal.Overflow] = False  # an overflow gives Infinity, rejected below
         ex = decimal.Decimal(x).exp()
         target = float((ex - 1 / ex) ** d * (ex + 1 / ex) ** (n - d) / 2**n)
+    if target == math.inf:
+        raise UsageError(f"sinh(x)^d cosh(x)^(n-d) is above the float range at n={n}, d={d}, x={x:g}")
+    series = math.fsum(itertools.islice(_weighted_counts(n, d, x), l_max + 1))
     residual = abs(series - target)
     return IdentityResidual(residual, bound, residual <= bound + 1e-13 * target)
 

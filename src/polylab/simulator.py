@@ -50,6 +50,18 @@ MAX_DIMENSION = 26
 # The move from 13 to 14 rests on these per-search timings alone: no
 # benchmark workload runs n = 13-15.
 CSR_MAX_DIMENSION = 14
+# Smallest n whose trials `run_trials` spreads over threads; below it a
+# second thread is no faster.  In-process ms of run_trials(n, trials, 0, p),
+# medians of interleaved fresh-process pairs on a 2-vCPU x86 host:
+#
+#   n    trials   p = 1   p = 2   p = 2 faster in
+#   16   40       318     397     1 of 7 pairs
+#   18   20       251     303     1 of 7
+#   19   16       233     274     2 of 11
+#   20   10       254     242     6 of 11
+#   21   8        321     251     10 of 11
+#   22   8        343     282     10 of 11
+PARALLEL_MIN_DIMENSION = 21
 
 PROFILE_BINS = 20
 BACKSTEP_DECILES = 10
@@ -682,13 +694,14 @@ def run_trials(
 
     A trial's result depends on its seed alone, so any parallelism degree
     produces the same records; aggregation consumes them in trial order.
-    Above CSR_MAX_DIMENSION they run on min(parallelism, trials, cores)
-    threads.  Up to it they run on the calling thread whatever
-    `parallelism` is: scipy's `dijkstra` and the per-trial Python code hold
-    the interpreter lock for most of a CSR trial, so a second thread slowed
-    `run_trials(12, 200)` down (only at n = 14 are the draws long enough to
-    overlap on two threads), and one thread reuses one CSR workspace for
-    every trial.
+    From PARALLEL_MIN_DIMENSION they run on min(parallelism, trials, cores)
+    threads.  Below it they run on the calling thread whatever
+    `parallelism` is: the per-trial Python code, and scipy's `dijkstra` up
+    to CSR_MAX_DIMENSION, hold the interpreter lock for most of a short
+    trial, so a second thread slowed `run_trials(12, 200)` and
+    `run_trials(16, 40)` down (of the CSR dimensions, only at n = 14 are the
+    draws long enough to overlap on two threads), and one thread reuses one
+    CSR workspace for every CSR trial.
     """
     _require_dimension(n)
     if trials < 1:
@@ -696,7 +709,7 @@ def run_trials(
     if parallelism < 1:
         raise UsageError(f"parallelism must be positive, got {parallelism}")
     prng.require_seeds(base_seed, trials)
-    workers = 1 if n <= CSR_MAX_DIMENSION else min(parallelism, trials, os.cpu_count() or 1)
+    workers = 1 if n < PARALLEL_MIN_DIMENSION else min(parallelism, trials, os.cpu_count() or 1)
     if workers == 1:  # a 1-worker pool raised peak RSS by 6-7 MiB in 8 s runs of simulate --n 20
         records = [run_trial(n, base_seed + t, t) for t in range(trials)]
     else:

@@ -2,10 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`; each row prints a PASS/FAIL
 line.  `ACCEPTANCE` maps each check name to its criterion number and its
-runtime budget in seconds.  A row runs its check at the full battery's
-arguments (`Check.full`, the sizes of `polylab verify`) unless `SIZES` pins
-its own.  Criteria mix exact identity checks, oracle equivalence and seeded
-Monte Carlo trend bounds; nothing is calibrated at runtime.
+runtime budget in seconds.  A row runs its check at the arguments of
+`polylab verify` (`Check.args`) unless `SIZES` pins its own.  Criteria mix
+exact identity checks, oracle equivalence and seeded Monte Carlo trend
+bounds; nothing is calibrated at runtime.
 """
 
 import time
@@ -36,19 +36,24 @@ ACCEPTANCE = {
     "substrand_identities": (16, 5),
 }
 
-# the checks whose acceptance arguments are not the full battery's
+# the checks whose acceptance arguments are not those of `polylab verify`
 SIZES = {
     "identity_residuals": (range(1, 11),),
-    "overlap_kernels": (100000, 1),
+    "overlap_kernels": (100000,),
     "overlap_mc": ([(l, k, x, 1000 + cell) for cell, (l, k, x) in enumerate(_OVERLAP_GRID)], 10**6),
     "convergence_trends": (10, 16),
 }
 
 
 def test_sizes_differ_from_the_full_battery():
-    full = {check.name: check.full for check in checks.CHECKS}
+    verify_args = {check.name: check.args for check in checks.CHECKS}
     for name, args in SIZES.items():
-        assert args != full[name], name
+        assert args != verify_args[name], name
+
+
+def test_only_resized_checks_take_arguments():
+    # a size both runs share is a constant of `polylab.checks`, not an argument
+    assert {check.name for check in checks.CHECKS if check.args} == set(SIZES)
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE)
@@ -56,7 +61,7 @@ def test_criterion(name):
     assert set(ACCEPTANCE) == {check.name for check in checks.CHECKS}
     number, budget = ACCEPTANCE[name]
     check = next(check for check in checks.CHECKS if check.name == name)
-    args = SIZES.get(name, check.full)
+    args = SIZES.get(name, check.args)
     start = time.monotonic()
     passed, detail = check.run(*args)
     elapsed = time.monotonic() - start

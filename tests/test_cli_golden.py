@@ -30,7 +30,6 @@ _FORMATTED = {
 }
 CASES = {
     **{f"{name}.{fmt}": argv + ["--format", fmt] for name, argv in _FORMATTED.items() for fmt in ("json", "csv")},
-    "verify_fast.txt": ["verify", "--fast"],
     "verify.txt": ["verify"],
     **{f"help_{sub}.txt": [sub, "--help"] for sub in ("count", "identity", "geometry", "analyze",
                                                       "overlap", "simulate", "verify")},

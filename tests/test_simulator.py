@@ -652,7 +652,7 @@ class TestRunTrials:
 
     def test_parallelism_does_not_change_output(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the same thread counts on any host
-        for n, trials, parallelism in ((8, 8, 4), (12, 6, 2), (15, 4, 2)):
+        for n, trials, parallelism in ((8, 8, 4), (12, 6, 2), (simulator.PARALLEL_MIN_DIMENSION, 4, 2)):
             serial_records, serial_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=1)
             parallel_records, parallel_summary = simulator.run_trials(n, trials, base_seed=7, parallelism=parallelism)
             # repr-level comparison: nan-valued empty bins defeat == on floats
@@ -672,20 +672,20 @@ class TestRunTrials:
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
         return asked
 
-    # threads run trials only above CSR_MAX_DIMENSION, so the pool tests run n = 15
+    # threads run trials only from PARALLEL_MIN_DIMENSION, so the pool tests run at it
     def test_pool_never_outnumbers_trials(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        pooled = simulator.run_trials(15, 3, 0, parallelism=64)
+        pooled = simulator.run_trials(simulator.PARALLEL_MIN_DIMENSION, 3, 0, parallelism=64)
         assert pool_sizes == [3]
-        assert repr(pooled) == repr(simulator.run_trials(15, 3, 0, parallelism=1))
+        assert repr(pooled) == repr(simulator.run_trials(simulator.PARALLEL_MIN_DIMENSION, 3, 0, parallelism=1))
 
     @pytest.mark.parametrize("cores, threads", [(2, [2]), (1, []), (None, [])])
     def test_pool_never_outnumbers_cores(self, monkeypatch, pool_sizes, cores, threads):
         # pool.map submits every trial at once, so an uncapped pool could start one thread per trial
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        pooled = simulator.run_trials(15, 6, 0, parallelism=1000)
+        pooled = simulator.run_trials(simulator.PARALLEL_MIN_DIMENSION, 4, 0, parallelism=1000)
         assert pool_sizes == threads
-        assert repr(pooled) == repr(simulator.run_trials(15, 6, 0, parallelism=1))
+        assert repr(pooled) == repr(simulator.run_trials(simulator.PARALLEL_MIN_DIMENSION, 4, 0, parallelism=1))
 
     @pytest.mark.parametrize("n", (4, simulator.CSR_MAX_DIMENSION))
     def test_csr_dimensions_start_no_pool(self, monkeypatch, pool_sizes, n):
@@ -693,6 +693,13 @@ class TestRunTrials:
         pooled = simulator.run_trials(n, 4, 0, parallelism=4)
         assert pool_sizes == []
         assert repr(pooled) == repr(simulator.run_trials(n, 4, 0, parallelism=1))
+
+    @pytest.mark.parametrize("n, threads", [(20, []), (21, [2])])
+    def test_pool_starts_at_the_crossover(self, monkeypatch, pool_sizes, n, threads):
+        # at n <= 20 a second thread was no faster (the PARALLEL_MIN_DIMENSION table), so none starts
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        simulator.run_trials(n, 2, 0, parallelism=2)
+        assert pool_sizes == threads
 
     @pytest.mark.parametrize(
         "n, base_seed",

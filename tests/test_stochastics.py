@@ -163,7 +163,7 @@ class TestOverlapProbabilityExact:
         # the l = 2, k = 1 closed form goes through the series, so a relative bias of 1e-8 must fail it
         unbiased = stochastics.log_overlap_probability
         monkeypatch.setattr(stochastics, "log_overlap_probability", lambda spec: unbiased(spec) + math.log1p(1e-8))
-        passed, detail = checks.overlap_kernels(100, 7)
+        passed, detail = checks.overlap_kernels(100)
         assert not passed
         assert detail == "l=2, k=1 closed form mismatch at x=1.0"
 
