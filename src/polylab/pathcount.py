@@ -19,6 +19,7 @@ import decimal
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -165,11 +166,15 @@ def identity_remainder_bound(n: int, x: float, l_max: int) -> float:
     """Upper bound on sum_{l > l_max} M(n,l,d) x^l / l!, uniform in d.
 
     Uses M(n,l,d) <= n^l and a geometric majorization of the exponential
-    tail; requires n*x < l_max + 2 so the ratio test closes.
+    tail; requires n*x < l_max + 2 so the ratio test closes, and
+    l_max < sys.maxsize, since `identity_residual` sums l_max + 1 terms
+    through `itertools.islice`, whose stop is a machine integer.
     """
     if not 0 < x < math.inf:
         raise UsageError(f"x must be positive and finite, got {x}")
     _require_distance(n, 0)
+    if l_max >= sys.maxsize:
+        raise UsageError(f"l_max must be below {sys.maxsize}, got {l_max}")
     nx = n * x
     if nx >= l_max + 2:
         raise UsageError(f"l_max={l_max} too small for remainder bound at n*x={nx:g}")

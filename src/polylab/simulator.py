@@ -349,13 +349,17 @@ _SCREEN_BITS = 18
 class _Ball:
     """The labelled vertices of the ball around one corner.
 
-    `keys` are the vertices, sorted; `dist` is each one's exact distance
-    from the corner and `pred` the previous vertex, -1 at the corner.
-    `radius` bounds every stored label.  `pending` lists (key, dist, pred)
-    arrays of the labels found beyond the radius; a key may repeat.  A key
-    the ball has since labelled is stale, and stays pending until a phase
-    takes it in (see `_BallSearch._grow`): the stored label is exact, so a
-    stale one never beats it, and `lower` rejects it when it joins.
+    A label is 13 bytes: a uint32 key, the vertex (so n <= 32 bounds
+    MAX_DIMENSION), its float64 dist and its uint8 step, the dimension of
+    the edge it came along, so that the previous vertex is key ^ (1 << step).
+    `keys` are the labelled vertices, sorted; `dist` is each one's exact
+    distance from the corner and `step` its last step, whose value at the
+    corner is never read.  `radius` bounds every stored label.  `pending`
+    lists (key, dist, step) arrays of the labels found beyond the radius; a
+    key may repeat.  A key the ball has since labelled is stale, and stays
+    pending until a phase takes it in (see `_BallSearch._grow`): the stored
+    label is exact, so a stale one never beats it, and `lower` rejects it
+    when it joins.
     `seen` screens lookups in `keys`: its entry at `key & mask` is set for
     every stored key, so a clear entry proves a key absent, and a set one
     means the key may be stored.  Keys are never removed, so no entry is
@@ -363,25 +367,29 @@ class _Ball:
     """
 
     def __init__(self, corner: int, n: int):
-        self.keys = np.array([corner], dtype=np.int64)
+        self.corner = corner
+        self.keys = np.array([corner], dtype=np.uint32)
         self.dist = np.zeros(1)
-        self.pred = np.full(1, -1, dtype=np.int64)
+        self.step = np.zeros(1, dtype=np.uint8)
         self.radius = 0.0
         self.pending = []
-        self.mask = (1 << min(n, _SCREEN_BITS)) - 1
+        self.mask = np.intp((1 << min(n, _SCREEN_BITS)) - 1)  # so key & mask indexes `seen` without a cast
         self.seen = np.zeros(self.mask + 1, dtype=bool)
         self.seen[corner & self.mask] = True
 
     def pred_of(self, vertex: int) -> int:
-        """The stored predecessor of a labelled vertex, -1 at the corner."""
-        return self.pred[np.searchsorted(self.keys, vertex)]
+        """The previous vertex of a labelled vertex on its stored path, -1 at the corner."""
+        if vertex == self.corner:
+            return -1
+        at = self.keys.searchsorted(np.uint32(vertex))  # a Python int would cast all the keys to int64
+        return vertex ^ (1 << int(self.step[at]))
 
-    def lower(self, keys: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lower(self, keys: np.ndarray, dist: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store each key's cheapest candidate label where it beats the stored one; return those keys and labels."""
         if not len(keys):
             return keys, dist
         order = np.lexsort((dist, keys))  # stable: a tie keeps the first candidate
-        keys, dist, pred = keys.take(order), dist.take(order), pred.take(order)
+        keys, dist, step = keys.take(order), dist.take(order), step.take(order)
         first = np.empty(len(keys), dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -389,19 +397,19 @@ class _Ball:
         pos, known = _lookup(self.keys, keys[pick])
         better = ~known | (dist[pick] < self.dist.take(pos, mode="clip"))
         pick, pos, known = _picked(better, pick, pos, known)
-        keys, dist, pred = keys.take(pick), dist.take(pick), pred.take(pick)
+        keys, dist, step = keys.take(pick), dist.take(pick), step.take(pick)
         if known.any():
             self.dist[pos[known]] = dist[known]
-            self.pred[pos[known]] = pred[known]
+            self.step[pos[known]] = step[known]
         new = ~known
         self.seen[keys[new] & self.mask] = True
         at = pos[new]
         at += np.arange(len(at))  # places after the merge
         old = np.ones(len(self.keys) + len(at), dtype=bool)
         old[at] = False
-        self.keys, self.dist, self.pred = (
+        self.keys, self.dist, self.step = (
             _merged(stored, old, at, values[new])
-            for stored, values in ((self.keys, keys), (self.dist, dist), (self.pred, pred))
+            for stored, values in ((self.keys, keys), (self.dist, dist), (self.step, step))
         )
         return keys, dist
 
@@ -426,9 +434,10 @@ class _BallSearch:
         n = instance.n
         self.n = n
         self.seed = instance.seed
-        self.bits = np.int64(1) << np.arange(n, dtype=np.int64)
-        # each edge's dimension, its second prng key, in a block of frontier vertices
-        self.dim_cycle = np.tile(np.arange(n, dtype=np.uint64), min(_RELAX_BLOCK, 1 << n))
+        self.bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+        self.clear = ~self.bits  # keeps the other bits: frontier & clear[d] is the edge's lower endpoint
+        # each edge's dimension, its step and second prng key, in a block of frontier vertices
+        self.dim_cycle = np.tile(np.arange(n, dtype=np.uint8), min(_RELAX_BLOCK, 1 << n))
         self.balls = (_Ball(0, n), _Ball(instance.target, n))
         self.upper = math.inf
         self.meet = (-1, -1)  # the cheapest edge's endpoints, in ball 0 and in ball 1
@@ -459,7 +468,8 @@ class _BallSearch:
         side = int(len(self.balls[1].keys) < len(self.balls[0].keys))
         ball = self.balls[side]
         cap = self.upper - self.balls[1 - side].radius
-        keys, dist, pred = _joined(ball.pending)
+        keys, dist, step = _joined(ball.pending)
+        ball.pending = []  # drop the parts, so that the joined copy is the only one
         live = dist <= cap
         near, rank = dist[live], 2 * len(ball.keys)
         if len(near) > rank:
@@ -469,10 +479,13 @@ class _BallSearch:
             ball.radius = cap
         else:
             ball.radius = float(near.max())
+        del near  # the partition copy
         join = live & (dist <= ball.radius)
         live ^= join
-        ball.pending = [(keys[live], dist[live], pred[live])]  # most labels stay: no index array needed
-        return (side, *ball.lower(*_picked(join, keys, dist, pred)))
+        joined = _picked(join, keys, dist, step)
+        ball.pending.append((keys[live], dist[live], step[live]))  # most labels stay: no index array needed
+        del keys, dist, step  # while `lower` runs, only the joined and the kept labels are held
+        return (side, *ball.lower(*joined))
 
     def _settle(self, side: int, keys: np.ndarray, dist: np.ndarray) -> None:
         """Label-correcting rounds from the given frontier of a ball until no label within its radius falls."""
@@ -495,27 +508,29 @@ class _BallSearch:
         them.
         """
         ball, other = self.balls[side], self.balls[1 - side]
-        keys = (frontier[:, None] ^ self.bits).ravel()
-        pred = frontier.repeat(self.n)
-        dist = frontier_dist.repeat(self.n) + prng.exponential_array(
-            self.seed, keys & pred, self.dim_cycle[: len(keys)]  # the lower endpoint is the edge's first prng key
-        )
+        column = frontier[:, None]
+        keys = (column ^ self.bits).ravel()
+        step = self.dim_cycle[: len(keys)]
+        dist = prng.exponential_array(self.seed, (column & self.clear).ravel(), step)
+        sums = dist.reshape(-1, self.n)  # a view: the label sums are formed in the draw buffer
+        sums += frontier_dist[:, None]
         screen = other.seen.take(keys & other.mask)
         screen &= dist < self.upper
-        near_keys, near_dist, near_pred = _picked(screen, keys, dist, pred)
+        near_keys, near_dist, near_step = _picked(screen, keys, dist, step)
         if len(near_keys):
             pos, hit = _lookup(other.keys, near_keys)
             total = np.where(hit, near_dist + other.dist.take(pos, mode="clip"), math.inf)
             i = int(total.argmin())
             if total[i] < self.upper:
                 self.upper = float(total[i])
-                ends = (int(near_pred[i]), int(near_keys[i]))
+                key = int(near_keys[i])
+                ends = (key ^ (1 << int(near_step[i])), key)
                 self.meet = ends if side == 0 else ends[::-1]
         useful = dist <= self.upper - other.radius
         within = useful & (dist <= ball.radius)
         beyond = useful ^ within
-        ball.pending.append(_picked(beyond, keys, dist, pred))
-        return _picked(within, keys, dist, pred)
+        ball.pending.append(_picked(beyond, keys, dist, step))
+        return _picked(within, keys, dist, step)
 
 
 def _merged(stored: np.ndarray, old: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -80,6 +80,18 @@ def test_signed_and_unsigned_keys_draw_alike(second):
         prng.exponential_array(5, small.astype(np.int32), b).tobytes()
         == prng.exponential_array(5, small.astype(np.uint64), b).tobytes()
     )
+    # the ball search's keys: uint32 vertices, up to 2^32 - 1 at n = 32, and uint8 steps
+    vertices = (unsigned >> np.uint64(32)).astype(np.uint32)
+    vertices[:2] = 0, 2**32 - 1
+    assert (
+        prng.exponential_array(5, vertices, b).tobytes()
+        == prng.exponential_array(5, vertices.astype(np.uint64), b).tobytes()
+    )
+    steps = (np.arange(1000) % 256).astype(np.uint8)
+    assert (
+        prng.exponential_array(5, unsigned, steps).tobytes()
+        == prng.exponential_array(5, unsigned, steps.astype(np.uint64)).tobytes()
+    )
 
 
 @pytest.mark.parametrize("second", ("int", "array"))

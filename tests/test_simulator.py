@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -501,6 +502,24 @@ class TestBallScreen:
             for ball in search.balls:
                 assert ball.seen.nbytes == 1 << min(n, simulator._SCREEN_BITS)
         assert 26 > simulator._SCREEN_BITS  # so n = 26 reaches the bound
+
+
+def test_n24_search_traced_peak():
+    # one search's traced peak was 16.1 MiB on a 2-vCPU x86 host; the bound,
+    # 1.5x that, fails if the labels regrow to 24 bytes (30.9 MiB)
+    simulator._ball_search(HypercubeInstance(n=16, seed=0))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        simulator._ball_search(HypercubeInstance(n=24, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16.1 * 2**20
+
+
+def test_vertices_fit_the_ball_search_keys():
+    # the ball search stores vertices as uint32 keys, which hold n <= 32 bits
+    assert simulator.MAX_DIMENSION <= 32
 
 
 def _fresh_records(n: int, trials: int, base_seed: int) -> list:
