@@ -8,8 +8,10 @@ the single constant E = arcsinh(1).  The per-slab factor g_factor combines
 depth likelihood and slab entropy; its product over slabs equals 1 exactly at
 the optimal depths and is strictly smaller elsewhere, which this module
 exposes for direct numerical verification, together with the scalar
-functions theta_hat, g1, g2 whose boundedness and convexity are checked on
-grids.
+envelopes theta_hat, g1, g2 whose boundedness and convexity are checked on
+grids.  The envelopes take a float or a 1-D array; the grid checks evaluate
+them as arrays in blocks of _GRID_BLOCK points, so their memory does not
+grow as the grid step shrinks.
 """
 
 import itertools
@@ -17,8 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import UsageError
 from .constants import E, L
+
+
+_LOG4 = math.log(4.0)
+_GRID_BLOCK = 1 << 11  # grid points per array evaluation in the scalar-envelope checks
 
 
 class GeometryDomainError(ValueError):
@@ -221,60 +229,88 @@ def build_optimal_profile(K: int, m: int) -> OptimalProfile:
     return OptimalProfile(K=K, m=m, d_opt=d_opt, L_opt=l_opt)
 
 
-def theta_hat(x: float, l_opt: float) -> float:
-    """Scalar envelope controlling strongly overlapping path pairs.
+def _unit_points(x) -> np.ndarray:
+    """x as a float64 array, once every entry is checked to lie in [0, 1]."""
+    xs = np.asarray(x, dtype=np.float64)
+    inside = (0.0 <= xs) & (xs <= 1.0)  # False on nan
+    if not inside.all():
+        raise UsageError(f"x must lie in [0, 1], got {xs[~inside][0]}")
+    return xs
+
+
+def _envelope(xs: np.ndarray, base, a, b) -> np.ndarray:
+    """4^{1-x}/(2-x)^{2-x} base(t)^a cosh(t)^b at t = E(1-x), evaluated as the exp of its log.
+
+    The log form keeps the rounding within a few ulp of the scalar formula,
+    where numpy's vectorized pow gives theta_hat(0) = 1.0000000000000002.
+    log base(0) = -inf, so each caller sets its own value at x = 1.
+    """
+    t = E * (1.0 - xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_value = (1.0 - xs) * _LOG4 - (2.0 - xs) * np.log(2.0 - xs) + a * np.log(base(t)) + b * np.log(np.cosh(t))
+    return np.exp(log_value)
+
+
+def _like(x, values: np.ndarray):
+    """values as a float when x is a scalar, else as the array."""
+    return float(values) if np.ndim(x) == 0 else values
+
+
+def theta_hat(x, l_opt: float):
+    """Scalar envelope controlling strongly overlapping path pairs, at a float or a 1-D array x.
 
     4^{1-x}/(2-x)^{2-x} tanh(E(1-x))^{max(1/l_opt - x, (1-x)/4)}
     cosh(E(1-x))^{1/l_opt}, with the 0^0 = 1 convention at x = 1.  Bounded
     by 1 on [0, 1] and by exp(-x/100) for x <= 1/5.
     """
-    if not 0.0 <= x <= 1.0:
-        raise UsageError(f"x must lie in [0, 1], got {x}")
+    xs = _unit_points(x)
     if not 1.0 < l_opt <= 1.25:
         raise UsageError(f"l_opt must lie in (1, 1.25], got {l_opt}")
-    if x == 1.0:
-        return 1.0
-    t = E * (1.0 - x)
-    exponent = max(1.0 / l_opt - x, (1.0 - x) / 4.0)
-    return 4.0 ** (1.0 - x) / (2.0 - x) ** (2.0 - x) * math.tanh(t) ** exponent * math.cosh(t) ** (1.0 / l_opt)
+    exponent = np.maximum(1.0 / l_opt - xs, (1.0 - xs) / 4.0)
+    return _like(x, np.where(xs == 1.0, 1.0, _envelope(xs, np.tanh, exponent, 1.0 / l_opt)))
+
+
+def g1(x):
+    """First scalar branch: 4^{1-x}/(2-x)^{2-x} sinh(E(1-x))^{0.8-x} cosh(E(1-x))^x, at a float or a 1-D array x.
+
+    The exponent constant 0.8 = 1/1.25 is fixed, not a parameter.  Diverges
+    as x -> 1 (negative exponent on a vanishing base); returns inf at x = 1.
+    """
+    xs = _unit_points(x)
+    return _like(x, np.where(xs == 1.0, np.inf, _envelope(xs, np.sinh, 1.0 / 1.25 - xs, xs)))
+
+
+def g2(x):
+    """Second scalar branch, with fixed exponent constant 1/1.24, at a float or a 1-D array x; g2(1) = 1.
+
+    4^{1-x}/(2-x)^{2-x} sinh(E(1-x))^{(1-x)/4} cosh(E(1-x))^{1/1.24 - (1-x)/4};
+    at x = 1 both sinh and cosh factors collapse under 0^0 = 1.
+    """
+    xs = _unit_points(x)
+    quarter = (1.0 - xs) / 4.0
+    return _like(x, np.where(xs == 1.0, 1.0, _envelope(xs, np.sinh, quarter, 1.0 / 1.24 - quarter)))
+
+
+def _grid(step: float, end: float, first: int = 0):
+    """The points i * step for i = first, first + 1, ... below end, then end itself, in blocks.
+
+    The grid ends at end whether or not the step divides it.  A block holds
+    at most _GRID_BLOCK + 1 points, so memory does not grow as the step shrinks.
+    """
+    for i in itertools.count(first, _GRID_BLOCK):
+        xs = np.arange(i, i + _GRID_BLOCK) * step
+        below = xs[xs < end]
+        if len(below) < _GRID_BLOCK:
+            yield np.append(below, end)
+            return
+        yield xs
 
 
 def theta_hat_sup(grid_step: float, l_opt: float) -> float:
     """Maximum of theta_hat(., l_opt) over the grid 0, grid_step, ..., 1, for a step in (0, 1e-3]."""
     if not 0.0 < grid_step <= 1e-3:
         raise UsageError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
-    # the multiples of the step below 1, then 1 itself, whether or not the step divides 1
-    below_one = itertools.takewhile(lambda x: x < 1.0, (i * grid_step for i in itertools.count()))
-    return max(theta_hat(x, l_opt) for x in itertools.chain(below_one, (1.0,)))
-
-
-def g1(x: float) -> float:
-    """First scalar branch: 4^{1-x}/(2-x)^{2-x} sinh(E(1-x))^{0.8-x} cosh(E(1-x))^x.
-
-    The exponent constant 0.8 = 1/1.25 is fixed, not a parameter.  Diverges
-    as x -> 1 (negative exponent on a vanishing base); returns inf at x = 1.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise UsageError(f"x must lie in [0, 1], got {x}")
-    if x == 1.0:
-        return math.inf
-    t = E * (1.0 - x)
-    return 4.0 ** (1.0 - x) / (2.0 - x) ** (2.0 - x) * math.sinh(t) ** (1.0 / 1.25 - x) * math.cosh(t) ** x
-
-
-def g2(x: float) -> float:
-    """Second scalar branch, with fixed exponent constant 1/1.24; g2(1) = 1."""
-    if not 0.0 <= x <= 1.0:
-        raise UsageError(f"x must lie in [0, 1], got {x}")
-    if x == 1.0:
-        return 1.0  # both sinh and cosh factors collapse under 0^0 = 1
-    t = E * (1.0 - x)
-    return (
-        4.0 ** (1.0 - x)
-        / (2.0 - x) ** (2.0 - x)
-        * math.sinh(t) ** ((1.0 - x) / 4.0)
-        * math.cosh(t) ** (1.0 / 1.24 - (1.0 - x) / 4.0)
-    )
+    return max(float(theta_hat(xs, l_opt).max()) for xs in _grid(grid_step, 1.0))
 
 
 def substrand_identities(cg: CoarseGraining, j: int) -> dict[str, tuple[float, float]]:
@@ -306,14 +342,20 @@ class ScalarClaimItem(NamedTuple):
     detail: str
 
 
-def _log_second_differences(f, lo: float, hi: float, h: float):
-    """Second central differences of log f on the grid lo+h, ..., hi-h."""
+def _min_log_second_difference(f, lo: float, hi: float, h: float) -> float:
+    """Least second central difference of log f on the grid lo+h, ..., hi-h, in blocks of _GRID_BLOCK points.
+
+    At x = lo + i*h it is (log f(min(x+h, hi)) - 2 log f(x) + log f(x-h)) / h^2,
+    for the x whose x + h stays within hi (+1e-12).
+    """
     n = int(round((hi - lo) / h))
-    for i in range(1, n):
-        x = lo + i * h
-        if x + h > hi + 1e-12:
-            break
-        yield x, (math.log(f(min(x + h, hi))) - 2.0 * math.log(f(x)) + math.log(f(x - h))) / (h * h)
+    worst = math.inf
+    for i in range(1, n, _GRID_BLOCK):
+        x = lo + np.arange(i, min(i + _GRID_BLOCK, n)) * h
+        x = x[x + h <= hi + 1e-12]
+        dd = (np.log(f(np.minimum(x + h, hi))) - 2.0 * np.log(f(x)) + np.log(f(x - h))) / (h * h)
+        worst = min(worst, float(dd.min(initial=math.inf)))
+    return worst
 
 
 def verify_scalar_claims(grid_step: float) -> tuple[ScalarClaimItem, ...]:
@@ -325,14 +367,22 @@ def verify_scalar_claims(grid_step: float) -> tuple[ScalarClaimItem, ...]:
     (d) log g2 convex on [0.71, 1] (same threshold);
     (e) boundary values g1(0.12), g1(0.73), g2(0.71) <= 1 and g2(1) = 1 exactly.
     Convexity is checked by central differences rather than symbolically; the
-    -1e-6 threshold absorbs discretization error.  `theta_hat_sup`, called
-    first, rejects a grid_step outside (0, 1e-3].
+    -1e-6 threshold absorbs discretization error.  numpy's vectorized log
+    can differ from libm's in the last place, and a second difference divides
+    that by h^2, so at a step other than 1e-3 and 1e-4 its sixth decimal can
+    differ by one unit from a scalar evaluation (0.365887 for 0.365886 at
+    1.1e-4 on an AVX-512 host).  The grids of (a) and (b) end at 1 and 0.2 whether or not the
+    step divides them.  `theta_hat_sup`, called first, rejects a grid_step
+    outside (0, 1e-3].
     """
     sup = max(theta_hat_sup(grid_step, l_opt) for l_opt in (1.24, 1.25))
-    decay_xs = [min(i * grid_step, 0.2) for i in range(1, int(0.2 / grid_step) + 1)]
-    worst_gap = min(math.exp(-x / 100.0) - theta_hat(x, l_opt) for l_opt in (1.24, 1.25) for x in decay_xs)
-    min_dd1 = min(v for _, v in _log_second_differences(g1, 0.12, 0.73, grid_step))
-    min_dd2 = min(v for _, v in _log_second_differences(g2, 0.71, 1.0, grid_step))
+    worst_gap = min(
+        float((np.exp(-xs / 100.0) - theta_hat(xs, l_opt)).min())
+        for l_opt in (1.24, 1.25)
+        for xs in _grid(grid_step, 0.2, first=1)
+    )
+    min_dd1 = _min_log_second_difference(g1, 0.12, 0.73, grid_step)
+    min_dd2 = _min_log_second_difference(g2, 0.71, 1.0, grid_step)
     g1_lo, g1_hi, g2_lo, g2_one = g1(0.12), g1(0.73), g2(0.71), g2(1.0)
     return (
         ScalarClaimItem("theta_hat_sup", sup <= 1.0 + 1e-9, f"grid sup = {sup:.12f}"),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import polylab
@@ -12,6 +13,35 @@ ALL_K = tuple(range(1, 65))
 def grid(lo, hi, step):
     n = int(round((hi - lo) / step))
     return [lo + i * step for i in range(n + 1)]
+
+
+# Scalar `math` oracles of the scalar envelopes: the formulas as written, with
+# the 0^0 = 1 convention at x = 1.  geometry evaluates them as arrays in log form.
+def theta_hat_oracle(x, l_opt):
+    if x == 1.0:
+        return 1.0
+    t = E * (1.0 - x)
+    exponent = max(1.0 / l_opt - x, (1.0 - x) / 4.0)
+    return 4.0 ** (1.0 - x) / (2.0 - x) ** (2.0 - x) * math.tanh(t) ** exponent * math.cosh(t) ** (1.0 / l_opt)
+
+
+def g1_oracle(x):
+    if x == 1.0:
+        return math.inf
+    t = E * (1.0 - x)
+    return 4.0 ** (1.0 - x) / (2.0 - x) ** (2.0 - x) * math.sinh(t) ** (1.0 / 1.25 - x) * math.cosh(t) ** x
+
+
+def g2_oracle(x):
+    if x == 1.0:
+        return 1.0
+    t = E * (1.0 - x)
+    return (
+        4.0 ** (1.0 - x)
+        / (2.0 - x) ** (2.0 - x)
+        * math.sinh(t) ** ((1.0 - x) / 4.0)
+        * math.cosh(t) ** (1.0 / 1.24 - (1.0 - x) / 4.0)
+    )
 
 
 class TestCoarseGraining:
@@ -246,13 +276,41 @@ class TestThetaHat:
         assert geometry.theta_hat(1.0, 1.25) == 1.0
 
     @pytest.mark.parametrize("l_opt", (1.24, 1.25))
+    def test_zero_at_most_one(self, l_opt):
+        assert geometry.theta_hat(0.0, l_opt) <= 1.0
+
+    @pytest.mark.parametrize("l_opt", (1.24, 1.25))
     def test_grid_sup_at_most_one(self, l_opt):
-        sup = max(geometry.theta_hat(x, l_opt) for x in grid(0.0, 1.0, 1e-4))
+        sup = geometry.theta_hat(np.array(grid(0.0, 1.0, 1e-4)), l_opt).max()
         assert sup <= 1.0 + 1e-9
 
     def test_exponential_decay_bound(self):
-        for x in grid(1e-4, 0.2, 1e-4):
-            assert geometry.theta_hat(x, 1.25) <= math.exp(-x / 100.0)
+        xs = np.array(grid(1e-4, 0.2, 1e-4))
+        assert np.all(geometry.theta_hat(xs, 1.25) <= np.exp(-xs / 100.0))
+
+    @pytest.mark.parametrize("l_opt", (1.24, 1.25))
+    def test_array_matches_scalar_oracle(self, l_opt):
+        # measured at most 7 ulp apart on this grid with numpy's AVX-512 or AVX2 paths, 6 with its baseline
+        xs = grid(0.0, 1.0, 1e-4)
+        expected = [theta_hat_oracle(x, l_opt) for x in xs]
+        np.testing.assert_array_max_ulp(geometry.theta_hat(np.array(xs), l_opt), np.array(expected), maxulp=7)
+
+    @pytest.mark.parametrize("step", (3e-4, 7e-4))
+    def test_grids_end_at_their_endpoints(self, step, monkeypatch):
+        # neither step divides 0.2: the decay grid ended at 0.1998 (3e-4) and 0.1995 (7e-4)
+        seen, theta_hat = [], geometry.theta_hat
+
+        def recording_theta_hat(x, l_opt):
+            seen.append((l_opt, x))
+            return theta_hat(x, l_opt)
+
+        monkeypatch.setattr(geometry, "theta_hat", recording_theta_hat)
+        geometry.verify_scalar_claims(step)
+        for l_opt in (1.24, 1.25):
+            # the blocks of the sup grid, then those of the decay grid, each increasing
+            xs = np.concatenate([x for l, x in seen if l == l_opt])
+            sup_grid, decay_grid = np.split(xs, np.flatnonzero(np.diff(xs) <= 0.0) + 1)
+            assert (sup_grid[0], sup_grid[-1], decay_grid[0], decay_grid[-1]) == (0.0, 1.0, step, 0.2)
 
     @pytest.mark.parametrize("step", (3e-4, 7e-4, 1e-3, 1e-4))
     def test_grid_sup_reaches_one(self, step):
@@ -269,18 +327,35 @@ class TestThetaHat:
         with pytest.raises(polylab.UsageError):
             geometry.theta_hat_sup(0.0, 1.24)
 
+    @pytest.mark.parametrize("f", (lambda x: geometry.theta_hat(x, 1.25), geometry.g1, geometry.g2))
+    @pytest.mark.parametrize("bad", (1.0 + 1e-12, -1e-12, math.nan))
+    def test_array_with_one_point_outside_rejected(self, f, bad):
+        xs = np.linspace(0.0, 1.0, 11)
+        xs[4] = bad
+        with pytest.raises(polylab.UsageError):
+            f(xs)
+
 
 class TestScalarBranches:
     def test_g2_at_one(self):
         assert geometry.g2(1.0) == 1.0
+
+    def test_g1_at_one(self):
+        assert geometry.g1(1.0) == math.inf
 
     def test_g1_boundary_values(self):
         assert geometry.g1(0.12) <= 1.0
         assert geometry.g1(0.73) <= 1.0
 
     def test_min_branch_at_most_one(self):
-        for x in grid(0.0, 1.0, 1e-4):
-            assert min(geometry.g1(x), geometry.g2(x)) <= 1.0 + 1e-12
+        xs = np.array(grid(0.0, 1.0, 1e-4))
+        assert np.all(np.minimum(geometry.g1(xs), geometry.g2(xs)) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("f, oracle", ((geometry.g1, g1_oracle), (geometry.g2, g2_oracle)), ids=("g1", "g2"))
+    def test_array_matches_scalar_oracle(self, f, oracle):
+        # measured at most 5 ulp apart on this grid, within theta_hat's bound; g1(1) = inf on both sides
+        xs = grid(0.0, 1.0, 1e-4)
+        np.testing.assert_array_max_ulp(f(np.array(xs)), np.array([oracle(x) for x in xs]), maxulp=7)
 
 
 class TestVerifyScalarClaims:
@@ -301,18 +376,12 @@ class TestVerifyScalarClaims:
     def test_g2_not_convex_below_claimed_interval(self):
         # widening the g2 convexity window to [0, 1] must fail: the second
         # log-derivative is genuinely negative near 0 (measured about -0.166)
-        values = list(
-            geometry._log_second_differences(geometry.g2, 0.0, 1.0, 1e-3)
-        )
-        assert min(v for _, v in values) < -1e-3
+        assert geometry._min_log_second_difference(geometry.g2, 0.0, 1.0, 1e-3) < -1e-3
 
     def test_g1_convexity_extends_left_of_claimed_interval(self):
         # the claimed window [0.12, 0.73] is not tight on the left: the grid
         # second differences stay positive on all of [0, 0.73]
-        values = list(
-            geometry._log_second_differences(geometry.g1, 0.0, 0.73, 1e-3)
-        )
-        assert min(v for _, v in values) > 0.0
+        assert geometry._min_log_second_difference(geometry.g1, 0.0, 0.73, 1e-3) > 0.0
 
     def test_rejects_coarser_than_1e3(self):
         with pytest.raises(ValueError):
