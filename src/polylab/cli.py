@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands dispatch to the four engines and emit machine-readable JSON or
-CSV through one writer; `verify` runs the checks of `polylab.checks` and
-exits nonzero on any failure.  Exit codes: 0 success, 1 engine or
-verification failure or a stdout closed before the output was written, 2
-usage error.  The handlers check no argument range themselves: each first
+Subcommands dispatch to the four engines and emit JSON through one writer;
+`verify` runs the checks of `polylab.checks` and exits nonzero on any
+failure.  Exit codes: 0 success, 1 engine or verification failure or an
+output that could not be written (a closed stdout, a full disk), 2 usage
+error.  The handlers check no argument range themselves: each first
 calls the library function that owns its inputs' domain, whose
 `polylab.UsageError` exits 2 before any other work is done.
 Identical arguments always produce byte-identical output.
@@ -22,17 +22,6 @@ from . import UsageError, checks, geometry, pathcount, prng, simulator, stochast
 from .constants import E, L
 
 
-def _cell(value) -> str:
-    """One CSV cell: 17-significant-digit floats, lower-case bools, empty for None, NaN and +-inf."""
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _json_ready(obj):
     """`obj` with every NaN and +-inf replaced by None, so that it dumps to valid JSON."""
     if isinstance(obj, dict):
@@ -44,18 +33,9 @@ def _json_ready(obj):
     return obj
 
 
-def _write(args, payload: dict, header=None, rows=None) -> None:
-    """Write `payload` as JSON, or `rows` under `header` as CSV, to stdout or `--out`.
-
-    Without `header`, the CSV is the payload's keys over one row of its values.
-    Stdout and `--out` receive the same bytes.
-    """
-    if args.format == "json":
-        text = json.dumps(_json_ready(payload), indent=2) + "\n"
-    else:
-        if header is None:
-            header, rows = payload.keys(), [payload.values()]
-        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+def _write(args, payload: dict) -> None:
+    """Write `payload` as JSON to stdout or `--out`; both receive the same bytes."""
+    text = json.dumps(_json_ready(payload), indent=2) + "\n"
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
@@ -68,8 +48,7 @@ def _write(args, payload: dict, header=None, rows=None) -> None:
 
 
 def _output_options(p: argparse.ArgumentParser, out_help=None) -> None:
-    """Declare `--format` and `--out`, after a subcommand's own arguments as its help lists them."""
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    """Declare `--out`, after a subcommand's own arguments as its help lists them."""
     p.add_argument("--out", default=None, help=out_help)
 
 
@@ -139,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     value = pathcount.stanley_count(args.n, args.l, args.d)
-    _write(args, {"count": str(value)}, ["n", "l", "d", "count"], [[args.n, args.l, args.d, value]])
+    _write(args, {"count": str(value)})
     return 0
 
 
@@ -155,13 +134,9 @@ def _cmd_geometry(args) -> int:
     full_product = geometry.evolution_product(cg, args.K)
     columns = {"a": cg.a, "abar": cg.abar[1:], "d": cg.d, "ef": cg.ef, "eb": cg.eb}  # one value per slab
     payload = {"K": args.K, "E": E, **columns, "full_product": full_product}
-    rows = [[i, *slab] for i, slab in enumerate(zip(*columns.values()), 1)]
-    blank = [None] * (len(columns) - 1)
-    rows.append(["full_product", full_product, *blank])
     if profile is not None:
         payload.update(m=profile.m, d_opt=profile.d_opt, L_opt=profile.L_opt, L_minus_L_opt=L - profile.L_opt)
-        rows.append(["L_opt", profile.L_opt, *blank])
-    _write(args, payload, ["i", *(f"{name}_i" for name in columns)], rows)
+    _write(args, payload)
     return 0
 
 
@@ -170,11 +145,9 @@ def _cmd_analyze(args) -> int:
     items = geometry.verify_scalar_claims(args.grid_step)
     all_passed = all(it.passed for it in items)
     payload = {"grid_step": args.grid_step, "items": [it._asdict() for it in items], "all_passed": all_passed}
-    rows = [[it.name, it.passed, f'"{it.detail}"'] for it in items]
     if sup is not None:
         payload.update(l_opt=args.lopt, theta_hat_sup=sup)
-        rows.append([f"theta_hat_sup_at_{args.lopt}", sup, None])
-    _write(args, payload, ["name", "passed", "detail"], rows)
+    _write(args, payload)
     return 0 if all_passed else 1
 
 
@@ -208,7 +181,7 @@ def _cmd_overlap(args) -> int:
 
 
 def trial_record_json_dict(record: simulator.TrialRecord) -> dict:
-    """One flat dict per trial; empty profile bins stay NaN, which the writer blanks."""
+    """One flat dict per trial; empty profile bins stay NaN, which the writer writes as null."""
     return {
         "n": record.n,
         "seed": record.seed,
@@ -224,8 +197,7 @@ def trial_record_json_dict(record: simulator.TrialRecord) -> dict:
 def _cmd_simulate(args) -> int:
     records, summary = simulator.run_trials(args.n, args.trials, args.seed, args.parallelism)
     trials = [trial_record_json_dict(r) for r in records]
-    payload = {"trials": trials, "aggregate": dataclasses.asdict(summary)}
-    _write(args, payload, trials[0].keys(), [t.values() for t in trials])
+    _write(args, {"trials": trials, "aggregate": dataclasses.asdict(summary)})
     return 0
 
 
@@ -257,8 +229,11 @@ def main(argv=None) -> int:
         status = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
-    except BrokenPipeError:  # the reader closed stdout: the rest of the output goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # the output could not be written
+        if getattr(args, "out", None) in (None, "-"):  # to stdout: what it still holds goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # the reader closed stdout: nothing to report
+            print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

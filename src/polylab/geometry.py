@@ -27,6 +27,11 @@ from .constants import E, L
 
 _LOG4 = math.log(4.0)
 _GRID_BLOCK = 1 << 11  # grid points per array evaluation in the scalar-envelope checks
+# The finest grid step the checks accept.  A second difference divides the
+# last-place error of log f by h^2: g1's least one reads 0.365863 at step
+# 1e-4, 0.364826 at 1e-6, 0.201228 at 1e-7 and -1.634495 at 3e-8, where
+# both convexity claims fail on rounding alone.
+_MIN_GRID_STEP = 1e-6
 
 
 class GeometryDomainError(ValueError):
@@ -307,9 +312,9 @@ def _grid(step: float, end: float, first: int = 0):
 
 
 def theta_hat_sup(grid_step: float, l_opt: float) -> float:
-    """Maximum of theta_hat(., l_opt) over the grid 0, grid_step, ..., 1, for a step in (0, 1e-3]."""
-    if not 0.0 < grid_step <= 1e-3:
-        raise UsageError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
+    """Maximum of theta_hat(., l_opt) over the grid 0, grid_step, ..., 1, for a step in [1e-6, 1e-3]."""
+    if not _MIN_GRID_STEP <= grid_step <= 1e-3:
+        raise UsageError(f"grid_step must lie in [1e-6, 1e-3], got {grid_step}")
     return max(float(theta_hat(xs, l_opt).max()) for xs in _grid(grid_step, 1.0))
 
 
@@ -373,7 +378,7 @@ def verify_scalar_claims(grid_step: float) -> tuple[ScalarClaimItem, ...]:
     differ by one unit from a scalar evaluation (0.365887 for 0.365886 at
     1.1e-4 on an AVX-512 host).  The grids of (a) and (b) end at 1 and 0.2 whether or not the
     step divides them.  `theta_hat_sup`, called first, rejects a grid_step
-    outside (0, 1e-3].
+    outside [1e-6, 1e-3].
     """
     sup = max(theta_hat_sup(grid_step, l_opt) for l_opt in (1.24, 1.25))
     worst_gap = min(

@@ -52,11 +52,6 @@ class TestCount:
             cli.main(["count", "--n", "2", "--l", "2", "--d", "2", "--bogus", "1"])
         assert err.value.code == 2
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run_cli(capsys, "count", "--n", "3", "--l", "3", "--d", "1", "--format", "csv")
-        assert code == 0
-        assert out == "n,l,d,count\n3,3,1,7\n"
-
     def test_engine_fault_exits_1(self, capsys, monkeypatch):
         def stanley_count(n, l, d):
             raise ArithmeticError("boom")
@@ -71,9 +66,9 @@ class TestCount:
     "argv",
     [
         ["count", "--n", "2", "--l", "2", "--d", "2"],
-        ["simulate", "--n", "5", "--trials", "2", "--seed", "9", "--format", "csv"],
+        ["simulate", "--n", "5", "--trials", "2", "--seed", "9"],
     ],
-    ids=["json", "csv"],
+    ids=["count", "simulate"],
 )
 def test_out_writes_the_stdout_bytes(argv, capsys, tmp_path):
     _, out, _ = run_cli(capsys, *argv)
@@ -122,16 +117,6 @@ class TestIdentity:
 
 
 class TestGeometry:
-    def test_csv_rows_and_product(self, capsys):
-        code, out, _ = run_cli(capsys, "geometry", "--K", "8", "--format", "csv")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "i,a_i,abar_i,d_i,ef_i,eb_i"
-        assert len(lines) == 10  # header + 8 slabs + product row
-        product_row = lines[-1].split(",")
-        assert product_row[0] == "full_product"
-        assert abs(float(product_row[1]) - 1.0) < 1e-9
-
     def test_json_with_profile(self, capsys):
         code, out, _ = run_cli(capsys, "geometry", "--K", "8", "--m", "2")
         assert code == 0
@@ -192,20 +177,13 @@ class TestOverlap:
         assert 0.99 < payload["exact"] < 1.0
         assert payload["exact_over_leading"] == 0.0
 
-    @pytest.mark.parametrize("fmt", ("json", "csv"))
-    def test_largest_threshold_saturates(self, capsys, fmt):
-        code, out, _ = run_cli(capsys, "overlap", "--l", "3", "--k", "1", "--x", "1e308", "--format", fmt)
+    def test_largest_threshold_saturates(self, capsys):
+        code, out, _ = run_cli(capsys, "overlap", "--l", "3", "--k", "1", "--x", "1e308")
         assert code == 0
-        if fmt == "csv":
-            header, row = (line.split(",") for line in out.splitlines())
-            payload = dict(zip(header, row))
-            assert payload["leading"] == ""
-            assert float(payload["exact"]) == 1.0
-        else:
-            payload = json.loads(out)
-            assert payload["leading"] is None
-            assert payload["exact"] == 1.0
-            assert payload["log_exact"] == 0.0
+        payload = json.loads(out)
+        assert payload["leading"] is None
+        assert payload["exact"] == 1.0
+        assert payload["log_exact"] == 0.0
 
     def test_smallest_threshold_keeps_finite_logs(self, capsys):
         code, out, _ = run_cli(capsys, "overlap", "--l", "3", "--k", "1", "--x", "5e-324")
@@ -261,18 +239,6 @@ class TestSimulate:
         _, out2, _ = run_cli(capsys, *base, "--parallelism", "3")
         assert out1 == out2
 
-    def test_csv_output_to_file(self, capsys, tmp_path):
-        out_file = tmp_path / "trials.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "simulate", "--n", "5", "--trials", "2", "--seed", "9",
-            "--format", "csv", "--out", str(out_file),
-        )
-        assert code == 0
-        lines = out_file.read_text().strip().split("\n")
-        assert lines[0].split(",")[:7] == ["n", "seed", "trial", "m_n", "length", "backsteps", "e_first_half"]
-        assert len(lines) == 3
-
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "x.json"
         with pytest.raises(SystemExit) as err:
@@ -280,15 +246,6 @@ class TestSimulate:
         assert err.value.code == 2
         out, stderr = capsys.readouterr()
         assert out == "" and stderr.count("\n") == 1 and "Traceback" not in stderr
-
-    def test_csv_round_trip_floats(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--n", "5", "--trials", "3", "--seed", "3", "--format", "csv")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0].startswith("n,seed,trial,m_n,length,backsteps,e_first_half,bin_00")
-        assert len(lines) == 4
-        m_back = float(lines[1].split(",")[3])
-        assert m_back == simulator.run_trial(5, 3, 0).m_n  # 17 significant digits round-trip
 
     def test_seed_whose_uniform_rounds_to_one(self, capsys):
         # the only edge of n = 1 draws mix64 = 2^64 - 1 at this seed
@@ -322,7 +279,7 @@ class TestSerialization:
             "n", "seed", "trial", "m_n", "length", "backsteps", "e_first_half",
             *(f"bin_{i:02d}" for i in range(20)),
         }
-        # empty bins stay NaN here; the CLI writer turns them into null or an empty cell
+        # empty bins stay NaN here; the CLI writer turns them into null
         assert any(math.isnan(payload[f"bin_{i:02d}"]) for i in range(20))
 
 
@@ -365,6 +322,9 @@ class TestSerialization:
         ["overlap", "--l", "3", "--k", "4", "--x", "1.0"],
         ["simulate", "--n", "6", "--trials", "0", "--seed", "0"],
         ["verify", "--fast"],  # verify has one battery and no options
+        # JSON is the only output format
+        ["count", "--n", "3", "--l", "3", "--d", "1", "--format", "csv"],
+        ["count", "--n", "3", "--l", "3", "--d", "1", "--format", "json"],
         # sinh(x)^d cosh(x)^(n-d) above the float range
         ["identity", "--n", "4", "--d", "2", "--x", "200", "--lmax", "3000"],
         ["identity", "--n", "2", "--d", "1", "--x", "356", "--lmax", "2000"],
@@ -373,6 +333,9 @@ class TestSerialization:
         ["identity", "--n", "1", "--d", "0", "--x", "1", "--lmax", str(sys.maxsize)],
         ["identity", "--n", "1", "--d", "0", "--x", "1", "--lmax", "100000000000000000000"],
         ["identity", "--n", "1", "--d", "0", "--x", "1", "--lmax", "9" * 401],
+        # below 1e-6 the second differences measure rounding: at 3e-8 both convexity claims failed
+        ["analyze", "--grid-step", "1e-7"],
+        ["analyze", "--grid-step", "5e-324"],  # ran for ever
     ],
 )
 def test_usage_error_exits_2(argv, capsys):
@@ -386,10 +349,10 @@ def test_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
     # main builds its parser once per process: each call must parse as if it were the first
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text at the terminal width
     golden = Path(__file__).with_name("golden")
-    out_file = tmp_path / "overlap_mc.csv"
+    out_file = tmp_path / "overlap_mc.json"
     mc = ["overlap", "--l", "3", "--k", "1", "--x", "1.0", "--mc-trials", "10000", "--seed", "5"]
-    assert run_cli(capsys, *mc, "--format", "csv", "--out", str(out_file)) == (0, "", "")
-    assert out_file.read_text() == (golden / "overlap_mc.csv").read_text()
+    assert run_cli(capsys, *mc, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == (golden / "overlap_mc.json").read_text()
     overlap = ["overlap", "--l", "4", "--k", "2", "--x", "0.5"]
     assert run_cli(capsys, *overlap) == (0, (golden / "overlap.json").read_text(), "")
     code, fresh, _ = run_fresh_process("geometry", "--K", "2")
@@ -398,7 +361,7 @@ def test_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
 
     count = ["count", "--n", "10", "--l", "14", "--d", "4"]
     with pytest.raises(SystemExit) as err:
-        cli.main([*count, "--format", "xml"])
+        cli.main(["count", "--n", "ten", "--l", "14", "--d", "4"])
     assert err.value.code == 2
     capsys.readouterr()
     assert run_cli(capsys, *count) == (0, (golden / "count.json").read_text(), "")
@@ -434,6 +397,26 @@ class TestVerify:
             err = proc.stderr.read()
             assert proc.wait(timeout=300) == 1
         assert "Traceback" not in err, err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize("to_out", (True, False), ids=("out", "stdout"))
+def test_failed_write_exits_1_with_one_line(to_out, capsys):
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    argv = ["count", "--n", "3", "--l", "3", "--d", "1", *(["--out", "/dev/full"] if to_out else [])]
+    error = "polylab: OSError: [Errno 28] No space left on device\n"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polylab.cli", *argv],
+            stdout=subprocess.DEVNULL if to_out else full,
+            stderr=subprocess.PIPE,
+            env=python_env(),
+            text=True,
+            timeout=300,
+        )
+    assert (proc.returncode, proc.stderr) == (1, error)
+    if to_out:  # in process, with a stdout that has no file descriptor
+        assert run_cli(capsys, *argv) == (1, "", error)
 
 
 def scipy_modules_loaded(*commands):
@@ -482,7 +465,7 @@ def readme_block(heading, language):
 
 
 def test_readme_examples_run(capsys, monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)  # `simulate --out trials.csv` writes here
+    monkeypatch.chdir(tmp_path)  # `simulate --out trials.json` writes here
     commands = [shlex.split(line, comments=True) for line in readme_block("## CLI", "sh").splitlines()]
     assert commands and all(argv[0] == "polylab" for argv in commands), commands
     outputs = []

@@ -1,11 +1,13 @@
-"""Byte-exact CLI output for every subcommand, in every output format.
+"""Byte-exact CLI output for every subcommand.
 
 Each case runs `polylab.cli.main(argv)` and compares stdout with a file
-under `tests/golden/`.  The files were written from the CLI's output and
+under `tests/golden/`; each JSON output must also parse as strict JSON,
+with no NaN or Infinity.  The files were written from the CLI's output and
 are never regenerated by the suite: a refactor of the CLI must leave them
 byte-identical.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from polylab import cli
 
 GOLDEN = Path(__file__).with_name("golden")
 
-_FORMATTED = {
+_JSON = {
     "count": ["count", "--n", "10", "--l", "14", "--d", "4"],
     "identity": ["identity", "--n", "3", "--d", "3", "--x", "0.8813735870195430", "--lmax", "60"],
     # l runs past 170, where float(M) * x**l / l! would overflow
@@ -29,12 +31,16 @@ _FORMATTED = {
     "simulate_n16": ["simulate", "--n", "16", "--trials", "2", "--seed", "0"],  # bidirectional engine
 }
 CASES = {
-    **{f"{name}.{fmt}": argv + ["--format", fmt] for name, argv in _FORMATTED.items() for fmt in ("json", "csv")},
+    **{f"{name}.json": argv for name, argv in _JSON.items()},
     "verify.txt": ["verify"],
     **{f"help_{sub}.txt": [sub, "--help"] for sub in ("count", "identity", "geometry", "analyze",
                                                       "overlap", "simulate", "verify")},
     "help.txt": ["--help"],
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -45,4 +51,7 @@ def test_output_matches_golden(name, capsys, monkeypatch):
     except SystemExit as exc:  # --help exits through argparse
         code = exc.code
     assert code == 0
-    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        json.loads(out, parse_constant=_reject_constant)
