@@ -47,11 +47,6 @@ def _write(args, payload: dict) -> None:
             fh.write(text)
 
 
-def _output_options(p: argparse.ArgumentParser, out_help=None) -> None:
-    """Declare `--out`, after a subcommand's own arguments as its help lists them."""
-    p.add_argument("--out", default=None, help=out_help)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polylab",
@@ -66,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="hypercube dimension")
     p.add_argument("--l", type=int, required=True, help="walk length")
     p.add_argument("--d", type=int, required=True, help="Hamming distance")
-    _output_options(p, "output file (default stdout)")
+    p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("identity", help="generating-function truncation residual")
     p.set_defaults(handler=_cmd_identity)
@@ -74,19 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--lmax", type=int, required=True)
-    _output_options(p)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("geometry", help="solved K-slab geometry table")
     p.set_defaults(handler=_cmd_geometry)
     p.add_argument("--K", type=int, required=True, help="number of scales")
     p.add_argument("--m", type=int, default=None, help="directed-cap width for the profile")
-    _output_options(p)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="scalar envelope claims on a grid")
     p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--grid-step", type=float, default=1e-4)
     p.add_argument("--lopt", type=float, default=None, help="report theta_hat sup at this value only")
-    _output_options(p)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("overlap", help="joint small-energy probability of overlapping sums")
     p.set_defaults(handler=_cmd_overlap)
@@ -95,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--mc-trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    _output_options(p)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="ground-state trials on seeded instances")
     p.set_defaults(handler=_cmd_simulate)
@@ -108,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=f"threads that run trials, for n >= {simulator.PARALLEL_MIN_DIMENSION} only; smaller n runs on one thread",
     )
-    _output_options(p)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the invariant battery; exit 0 iff all pass")
     p.set_defaults(handler=_cmd_verify)
@@ -118,7 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     value = pathcount.stanley_count(args.n, args.l, args.d)
-    _write(args, {"count": str(value)})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # str(int)'s digit limit, none before 3.10.7
+    try:  # lifted for this one conversion, then restored: a count may have any number of digits
+        limit and sys.set_int_max_str_digits(0)
+        text = str(value)
+    finally:
+        limit and sys.set_int_max_str_digits(limit)
+    _write(args, {"count": text})
     return 0
 
 
@@ -188,7 +189,7 @@ def trial_record_json_dict(record: simulator.TrialRecord) -> dict:
         "trial": record.trial,
         "m_n": record.m_n,
         "length": record.length,
-        "backsteps": record.backstep_count,
+        "backsteps": sum(record.backstep_deciles),
         "e_first_half": record.first_half_energy,
         **{f"bin_{i:02d}": v for i, v in enumerate(record.profile_bins)},
     }

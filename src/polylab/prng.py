@@ -82,7 +82,7 @@ def mix64_array(
     """
     z = np.empty(len(a), np.uint64) if out is None else out
     t = np.empty(len(a), np.uint64) if scratch is None else scratch
-    np.multiply(a.view(np.uint64) if a.dtype == np.int64 else a, _KEY_A_U64, out=z, dtype=np.uint64, casting="unsafe")
+    np.multiply(a, _KEY_A_U64, out=z, dtype=np.uint64, casting="unsafe")
     if isinstance(b, np.ndarray):
         np.add(b, np.uint64(1), out=t, dtype=np.uint64, casting="unsafe")
         t *= _KEY_B_U64

@@ -166,10 +166,6 @@ class PolymerPath:
     def length(self) -> int:
         return len(self.steps)
 
-    @property
-    def backstep_count(self) -> int:
-        return sum(1 for step in self.steps if step < 0)
-
     def is_loopless(self) -> bool:
         return len(set(self.vertices)) == len(self.vertices)
 
@@ -179,7 +175,7 @@ def _csr_layout(n: int) -> tuple[np.ndarray, ...]:
     """The hypercube's CSR adjacency and its edges' prng keys: `cols`, `indptr`, `low`, `dims` and `slots`.
 
     `cols`, shape (2^n, n), holds each vertex's neighbours.  `low` and
-    `dims`, 1-D and 2^(n-1) * n long, key each edge once by its lower
+    `dims`, 1-D uint64 and 2^(n-1) * n long, key each edge once by its lower
     endpoint and its dimension, in the order they are drawn: for each dim
     d, the vertices with bit d clear, increasing.  `slots`, shape (2^n, n)
     like `cols`, holds the index among those draws of the edge at each
@@ -189,7 +185,7 @@ def _csr_layout(n: int) -> tuple[np.ndarray, ...]:
     size = 1 << n
     cols = np.arange(size, dtype=np.int32)[:, None] ^ (np.int32(1) << np.arange(n, dtype=np.int32))
     indptr = np.arange(0, size * n + 1, n, dtype=np.int32)
-    half = np.arange(size >> 1, dtype=np.int64)
+    half = np.arange(size >> 1, dtype=np.uint64)
     low = np.concatenate([((half >> d) << (d + 1)) | (half & ((1 << d) - 1)) for d in range(n)])
     dims = np.repeat(np.arange(n, dtype=np.uint64), size >> 1)
     # vertex v's edge along d is draw d * 2^(n-1) + (v with bit d deleted)
@@ -609,7 +605,6 @@ class TrialRecord:
     trial: int
     m_n: float
     length: int
-    backstep_count: int
     first_half_energy: float
     profile_bins: tuple[float, ...]  # mean depth per alpha-bin, nan when empty
     backstep_deciles: tuple[int, ...]  # backstep count per alpha-decile
@@ -640,7 +635,6 @@ def path_statistics(instance: HypercubeInstance, path: PolymerPath, trial: int =
         trial=trial,
         m_n=path.energy,
         length=l,
-        backstep_count=path.backstep_count,
         first_half_energy=first_half_energy,
         profile_bins=tuple(
             bin_sums[i] / bin_counts[i] if bin_counts[i] else math.nan for i in range(PROFILE_BINS)
@@ -678,7 +672,7 @@ def aggregate_records(records: list[TrialRecord], base_seed: int) -> AggregateSu
     m = np.array([r.m_n for r in records])
     ratios = np.array([r.length / r.n for r in records])
     halves = np.array([r.first_half_energy / r.m_n for r in records])
-    back_fraction = np.array([r.backstep_count / r.length for r in records])
+    back_fraction = np.array([sum(r.backstep_deciles) / r.length for r in records])
     bins = np.array([r.profile_bins for r in records])  # nan for empty bins
     deciles = np.array([r.backstep_deciles for r in records], dtype=float)
     bin_counts = np.count_nonzero(~np.isnan(bins), axis=0)

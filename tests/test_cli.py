@@ -47,6 +47,20 @@ class TestCount:
         assert isinstance(value, str)
         assert int(value) > 2**64  # would silently truncate as a JSON number
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="str(int) has no digit limit")
+    @pytest.mark.parametrize("limit", (4300, 640), ids=["default", "lowest"])
+    def test_count_past_the_int_digit_limit(self, capsys, limit):
+        # M(4, l, 0) = (4^l + 4 * 2^l) / 8 for even l: 4,816 digits at l = 8000
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, _ = run_cli(capsys, "count", "--n", "4", "--l", "8000", "--d", "0")
+            assert sys.get_int_max_str_digits() == limit  # the caller keeps its own limit
+            sys.set_int_max_str_digits(0)
+            assert (code, json.loads(out)) == (0, {"count": str((4**8000 + 4 * 2**8000) // 8)})
+        finally:
+            sys.set_int_max_str_digits(before)
+
     def test_unknown_flag_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["count", "--n", "2", "--l", "2", "--d", "2", "--bogus", "1"])
@@ -279,6 +293,7 @@ class TestSerialization:
             "n", "seed", "trial", "m_n", "length", "backsteps", "e_first_half",
             *(f"bin_{i:02d}" for i in range(20)),
         }
+        assert payload["backsteps"] == sum(records[0].backstep_deciles) == (records[0].length - 5) // 2
         # empty bins stay NaN here; the CLI writer turns them into null
         assert any(math.isnan(payload[f"bin_{i:02d}"]) for i in range(20))
 

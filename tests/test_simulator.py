@@ -87,6 +87,7 @@ class TestEdgeWeight:
     def test_slots_give_each_drawn_edge_both_endpoints(self, n):
         _, _, low, dims, slots = simulator._csr_layout(n)
         assert slots.dtype == np.intp and slots.shape == (1 << n, n)
+        assert low.dtype == dims.dtype == np.uint64  # the draw kernel's own key dtype
         assert np.array_equal(np.bincount(slots.ravel(), minlength=len(low)), np.full(len(low), 2))
         vertex, dim = np.arange(1 << n)[:, None], np.arange(n)
         assert np.array_equal(low[slots], vertex & ~(1 << dim))  # the lower endpoint of edge (v, d)
@@ -169,14 +170,14 @@ class TestPolymerPath:
         path = PolymerPath.from_vertices(inst, [0, 1, 3, 7, 15, 31])
         assert path.steps == (1, 2, 3, 4, 5)
         assert path.length == 5
-        assert path.backstep_count == 0
+        assert sum(step < 0 for step in path.steps) == 0
         assert path.is_loopless()
 
     def test_from_vertices_with_backstep(self):
         inst = HypercubeInstance(n=3, seed=3)
         path = PolymerPath.from_vertices(inst, [0, 1, 3, 2, 3, 7])
         assert path.steps == (1, 2, -1, 1, 3)
-        assert path.backstep_count == 1
+        assert sum(step < 0 for step in path.steps) == 1
         assert path.length == 5
         assert not path.is_loopless()  # the +1 after -1 revisits a vertex
 
@@ -334,7 +335,7 @@ class TestGroundState:
         assert path.vertices[0] == 0 and path.vertices[-1] == inst.target
         assert path.is_loopless()
         assert path.length >= n and (path.length - n) % 2 == 0
-        assert path.backstep_count == (path.length - n) // 2
+        assert sum(step < 0 for step in path.steps) == (path.length - n) // 2
         energy = 0.0
         for a, b in zip(path.vertices, path.vertices[1:]):
             assert bin(a ^ b).count("1") == 1
@@ -370,6 +371,86 @@ class TestGroundState:
         ]
         assert min(values) > 0.55
         assert min(values) == pytest.approx(0.8800098467873847, rel=1e-12)
+
+
+def _move_bits(v, sigma):
+    """v with bit i moved to bit sigma[i]; v is an int or a uint64 array."""
+    return sum(((v >> i) & 1) << j for i, j in enumerate(sigma))
+
+
+def _draw_at(monkeypatch, key) -> None:
+    """Draw each edge weight, scalar and array, as the original draw at `key(a, b)`, a map of edge keys.
+
+    An edge's key is its lower endpoint a and its dimension b, so a symmetry
+    of the hypercube that maps edge (a, b) to key(a, b) builds the mapped
+    environment.  Array keys of any dtype reach `key` as uint64.
+    """
+    prng = simulator.prng
+    scalar, array = prng.exponential, prng.exponential_array
+    monkeypatch.setattr(prng, "exponential", lambda seed, a, b: scalar(seed, *map(int, key(a, b))))
+    monkeypatch.setattr(
+        prng,
+        "exponential_array",
+        lambda seed, a, b, *rest: array(seed, *key(a.astype(np.uint64), np.asarray(b, dtype=np.uint64)), *rest),
+    )
+
+
+class TestSymmetryOracles:
+    """Each engine's ground state follows the environment through the hypercube's symmetries, exactly.
+
+    Drawing the weights at mapped keys (`_draw_at`) gives the environment
+    mapped by a symmetry, whose ground state is the mapped ground state:
+    - a coordinate permutation sigma, which moves bit i to bit sigma[i],
+      maps ground state P to sigma^-1(P), the same weights in the same order;
+    - the reflection phi(v) = v ^ target, which swaps the corners, maps it
+      to phi(reverse(P)), the same weights in reverse order.
+    """
+
+    CASES = [
+        *((simulator.ground_state, n, seed) for n in (*range(2, 15), 16, 18, 20, 22, 24) for seed in (0, 1)),
+        *((simulator._ball_search, n, seed) for n in range(2, 15) for seed in (0, 1)),
+    ]
+
+    @pytest.mark.parametrize("engine, n, seed", CASES)
+    def test_permuted_coordinates(self, monkeypatch, engine, n, seed):
+        inst = HypercubeInstance(n=n, seed=seed)
+        path = engine(inst)
+        sigma = np.random.default_rng([n, seed]).permutation(n).tolist()
+        inverse = np.argsort(sigma).tolist()
+        _draw_at(monkeypatch, lambda a, b: (_move_bits(a, sigma), np.asarray(sigma, dtype=np.uint64)[b]))
+        permuted = engine(inst)
+        assert permuted.vertices == tuple(_move_bits(v, inverse) for v in path.vertices)
+        assert permuted.weights == path.weights and permuted.energy == path.energy  # bit for bit
+
+    @pytest.mark.parametrize("engine, n, seed", CASES)
+    def test_reflected_corners(self, monkeypatch, engine, n, seed):
+        inst = HypercubeInstance(n=n, seed=seed)
+        path = engine(inst)
+        target = inst.target
+        _draw_at(monkeypatch, lambda a, b: ((a ^ target) & ~(1 << b), b))
+        reflected = engine(inst)
+        assert reflected.vertices == tuple(v ^ target for v in reversed(path.vertices))
+        assert reflected.weights == path.weights[::-1]  # so the energies differ by summation order only
+
+
+class TestEnvironmentLaw:
+    """The ground-state energy at n = 1 and 2 against its exact law, by a Kolmogorov-Smirnov distance.
+
+    m_1 is one edge weight, Exp(1).  m_2 is the smaller of the two 2-step
+    paths' energies, each Gamma(2, 1), so P(m_2 > x) = ((1 + x) e^-x)^2.
+    """
+
+    SEEDS = range(7_340_000, 7_350_000)  # fixed before the test first ran
+
+    @pytest.mark.parametrize(
+        "n, survival", [(1, lambda x: np.exp(-x)), (2, lambda x: ((1 + x) * np.exp(-x)) ** 2)], ids=["m_1", "m_2"]
+    )
+    def test_ks_distance_below_the_1_percent_critical_value(self, n, survival):
+        m = np.sort([simulator.ground_state(HypercubeInstance(n=n, seed=s)).energy for s in self.SEEDS])
+        size = len(m)
+        cdf = 1.0 - survival(m)
+        ks = max((np.arange(1, size + 1) / size - cdf).max(), (cdf - np.arange(size) / size).max())
+        assert ks < 1.628 / math.sqrt(size)  # the asymptotic 1% critical value
 
 
 def _growing(search) -> tuple:
@@ -576,7 +657,7 @@ class TestPathStatistics:
         inst = HypercubeInstance(n=5, seed=3)
         path = PolymerPath.from_vertices(inst, [0, 1, 3, 7, 15, 31])
         record = simulator.path_statistics(inst, path)
-        assert record.backstep_count == 0
+        assert sum(record.backstep_deciles) == 0
         assert record.backstep_deciles == (0,) * simulator.BACKSTEP_DECILES
         assert _depths(path, 5) == [(j / 5, j / 5) for j in range(1, 6)]
         # step j lands in bin int(20 j / 5) (the last step in bin 19) with depth j / 5
@@ -589,7 +670,7 @@ class TestPathStatistics:
         path = PolymerPath.from_vertices(inst, [0, 1, 3, 2, 3, 7])
         record = simulator.path_statistics(inst, path)
         depths = [d for _, d in _depths(path, 3)]
-        assert record.backstep_count == 1
+        assert sum(record.backstep_deciles) == 1
         assert depths[2] == depths[1] - 1 / 3  # the backstep lowers depth by 1/n
         assert record.backstep_deciles[5] == 1  # step 3 of 5: decile int(2.5 / 5 * 10)
 
@@ -627,7 +708,7 @@ class TestPathStatistics:
         assert path.length == record.length == l
         assert path.steps == tuple((a ^ b).bit_length() * (1 if b > a else -1) for a, b in pairs)
         backsteps = [j for j, (a, b) in enumerate(pairs, start=1) if b < a]
-        assert path.backstep_count == record.backstep_count == len(backsteps)
+        assert sum(step < 0 for step in path.steps) == sum(record.backstep_deciles) == len(backsteps)
         deciles = [0] * simulator.BACKSTEP_DECILES
         for j in backsteps:
             deciles[min(simulator.BACKSTEP_DECILES - 1, int((j - 0.5) / l * simulator.BACKSTEP_DECILES))] += 1
@@ -745,7 +826,7 @@ class TestRunTrials:
         for r in records:
             assert r.m_n > 0
             assert r.length >= 6 and (r.length - 6) % 2 == 0
-            assert r.backstep_count == (r.length - 6) // 2
+            assert sum(r.backstep_deciles) == (r.length - 6) // 2
 
     def test_empirical_small_energy_fraction_bounded(self):
         # first moment: an optimal path uses no edge twice, so its energy is Erlang(l) for its
